@@ -7,8 +7,9 @@ to one generated Python function (``repro.rdb.compile``) and pulls rows
 through the executor in batches, so a full scan becomes a single fused
 list comprehension instead of ~5 frame pushes per row.
 
-E19 measures that end to end, with the interpreted baseline re-enabled
-*in the same process* via the ``REPRO_COMPILED_EXEC=0`` kill switch:
+E19 measures that end to end against the interpreted baseline run *in
+the same process*: the per-row executor the compiled one replaced, kept
+as the differential test oracle (``tests/rdb/oracle.py``):
 
 * **full scan** — a 3-conjunct WHERE over the document corpus through
   ``Database.select``.  Target: >=10x interpreted throughput.
@@ -17,7 +18,7 @@ E19 measures that end to end, with the interpreted baseline re-enabled
   course records" shape).  Target: >=10x.
 * **pure merge** — ``join_rows`` over pre-materialized inputs.  The
   hash merge must build one fresh output dict per matched pair (~1 us
-  each), which both modes pay, so the honest ceiling here is ~2x; the
+  each), which both executors pay, so the honest ceiling here is ~2x; the
   end-to-end join clears 10x because the compiled scans feed it.
 * **bare filter** — the generated batch filter against per-row
   ``Expr.eval``: the codegen ablation with no executor around it.
@@ -25,8 +26,8 @@ E19 measures that end to end, with the interpreted baseline re-enabled
   scan.  Batches are counted analytically (one add per batch, never
   per row), so the target is <1%.
 
-Modes are interleaved A/B across repeats and the best run per mode is
-kept.  ``--smoke`` is the CI perf guard at small scale with
+The two executors are interleaved A/B across repeats and the best run
+of each is kept.  ``--smoke`` is the CI perf guard at small scale with
 deliberately generous floors (shared runners are noisy): it fails
 (exit 1) if compiled throughput falls below 4x interpreted on the full
 scan, 2.5x on the join query, or the enabled-obs overhead exceeds 10%.
@@ -34,7 +35,6 @@ scan, 2.5x on the join query, or the enabled-obs overhead exceeds 10%.
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from pathlib import Path
@@ -45,8 +45,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from benchmarks.common import print_table
 from repro.obs import MetricsRegistry, disable, enable
 from repro.rdb import Column, ColumnType, Database, Schema, col
-from repro.rdb.compile import ENV_VAR
+from repro.rdb.compile import batch_filter
 from repro.rdb.query import join_rows
+from tests.rdb import oracle
 
 T = ColumnType
 
@@ -107,17 +108,6 @@ def build_corpus(rows: int) -> Database:
     return db
 
 
-def _set_mode(compiled: bool) -> None:
-    os.environ[ENV_VAR] = "1" if compiled else "0"
-
-
-def _restore_mode(previous: str | None) -> None:
-    if previous is None:
-        os.environ.pop(ENV_VAR, None)
-    else:
-        os.environ[ENV_VAR] = previous
-
-
 def _qps_once(fn, iters: int) -> float:
     start = time.perf_counter()
     for _ in range(iters):
@@ -126,53 +116,50 @@ def _qps_once(fn, iters: int) -> float:
     return iters / elapsed if elapsed else float("inf")
 
 
-def _best_both_modes(fn, iters: int) -> tuple[float, float]:
-    """(interpreted q/s, compiled q/s), modes interleaved per repeat."""
-    previous = os.environ.get(ENV_VAR)
+def _best_both(interpreted, compiled, iters: int) -> tuple[float, float]:
+    """(interpreted q/s, compiled q/s), the two interleaved per repeat."""
     best = [0.0, 0.0]
-    try:
-        for _ in range(REPEATS):
-            for index, compiled in enumerate((False, True)):
-                _set_mode(compiled)
-                best[index] = max(best[index], _qps_once(fn, iters))
-    finally:
-        _restore_mode(previous)
+    for _ in range(REPEATS):
+        for index, fn in enumerate((interpreted, compiled)):
+            best[index] = max(best[index], _qps_once(fn, iters))
     return best[0], best[1]
 
 
 def _workloads(db: Database, iters: int):
-    """(label, fn, iters) triples covered by both table and smoke."""
-    # Pure-merge inputs are pre-materialized so only join_rows is timed.
+    """(label, interpreted fn, compiled fn, iters) for table and smoke."""
+    # Pure-merge inputs are pre-materialized so only the merge is timed.
     left = db.select("docs", where=col("version") == 3)
     right = db.select("courses")
     docs = db.table("docs")
     rows_list = docs.rows_list()
-
-    def full_scan() -> None:
-        db.select("docs", where=SCAN_WHERE)
-
-    def join_query() -> None:
-        db.join("docs", "courses", ON, where_left=JOIN_WHERE)
-
-    def pure_merge() -> None:
-        join_rows(left, right, ON)
-
-    def bare_filter() -> None:
-        # Interpreted shape of the same filter; the compiled mode swaps
-        # in the generated batch function via the executor — here we
-        # time the two filter bodies directly.
-        from repro.rdb.compile import batch_filter, compiled_exec_enabled
-        if compiled_exec_enabled():
-            batch_filter(SCAN_WHERE)(rows_list)
-        else:
-            evaluate = SCAN_WHERE.eval
-            [row for row in rows_list if evaluate(row)]
-
+    evaluate = SCAN_WHERE.eval
     return [
-        ("full scan", full_scan, iters),
-        ("join query", join_query, iters),
-        ("pure merge", pure_merge, max(1, iters // 2)),
-        ("bare filter", bare_filter, iters),
+        (
+            "full scan",
+            lambda: oracle.select(docs, where=SCAN_WHERE),
+            lambda: db.select("docs", where=SCAN_WHERE),
+            iters,
+        ),
+        (
+            "join query",
+            lambda: oracle.join(
+                db, "docs", "courses", ON, where_left=JOIN_WHERE),
+            lambda: db.join("docs", "courses", ON, where_left=JOIN_WHERE),
+            iters,
+        ),
+        (
+            "pure merge",
+            lambda: oracle.join_rows(left, right, ON),
+            lambda: join_rows(left, right, ON),
+            max(1, iters // 2),
+        ),
+        (
+            # The two filter bodies alone, no executor around them.
+            "bare filter",
+            lambda: [row for row in rows_list if evaluate(row)],
+            lambda: batch_filter(SCAN_WHERE)(rows_list),
+            iters,
+        ),
     ]
 
 
@@ -180,8 +167,8 @@ def measure(rows: int, iters: int) -> dict[str, tuple[float, float]]:
     """{workload: (interpreted q/s, compiled q/s)} on the corpus."""
     db = build_corpus(rows)
     return {
-        label: _best_both_modes(fn, n)
-        for label, fn, n in _workloads(db, iters)
+        label: _best_both(interpreted, compiled, n)
+        for label, interpreted, compiled, n in _workloads(db, iters)
     }
 
 
@@ -206,25 +193,20 @@ def measure_obs_overhead(rows: int, iters: int) -> tuple[float, float, float]:
     def big_scan() -> None:
         big.select("docs", where=SCAN_WHERE)
 
-    previous = os.environ.get(ENV_VAR)
     best = [0.0, 0.0]
-    try:
-        _set_mode(True)
-        for _ in range(REPEATS):
-            for index, setup in enumerate(
-                (disable, lambda: enable(registry=MetricsRegistry()))
-            ):
-                setup()
-                try:
-                    best[index] = max(
-                        best[index], _qps_once(micro_scan, iters * 40)
-                    )
-                finally:
-                    disable()
-        fixed_s = max(0.0, 1.0 / best[1] - 1.0 / best[0])
-        scan_qps = max(_qps_once(big_scan, iters) for _ in range(REPEATS))
-    finally:
-        _restore_mode(previous)
+    for _ in range(REPEATS):
+        for index, setup in enumerate(
+            (disable, lambda: enable(registry=MetricsRegistry()))
+        ):
+            setup()
+            try:
+                best[index] = max(
+                    best[index], _qps_once(micro_scan, iters * 40)
+                )
+            finally:
+                disable()
+    fixed_s = max(0.0, 1.0 / best[1] - 1.0 / best[0])
+    scan_qps = max(_qps_once(big_scan, iters) for _ in range(REPEATS))
     scan_s = 1.0 / scan_qps
     return fixed_s * 1e6, scan_s * 1e3, fixed_s / scan_s * 100.0
 
@@ -246,56 +228,27 @@ def speedup_rows(rows: int, iters: int) -> list[list]:
 # ---------------------------------------------------------------------------
 def test_e19_compiled_and_interpreted_agree():
     db = build_corpus(3_000)
-    previous = os.environ.get(ENV_VAR)
-    results = {}
-    try:
-        for compiled in (False, True):
-            _set_mode(compiled)
-            results[compiled] = (
-                db.select("docs", where=SCAN_WHERE, order_by="doc_id"),
-                db.join("docs", "courses", ON, where_left=JOIN_WHERE),
-                db.aggregate("docs", {"n": ("count", "doc_id")},
-                             where=SCAN_WHERE, group_by=["author"]),
-            )
-    finally:
-        _restore_mode(previous)
-    assert results[False] == results[True]
-    assert results[True][0]  # non-degenerate: the predicate selects rows
-
-
-def test_e19_explain_reports_exec_mode():
-    db = build_corpus(100)
-    previous = os.environ.get(ENV_VAR)
-    try:
-        _set_mode(True)
-        assert "exec=compiled batch=" in db.explain("docs", SCAN_WHERE)
-        _set_mode(False)
-        assert "exec=interpreted batch=1" in db.explain("docs", SCAN_WHERE)
-    finally:
-        _restore_mode(previous)
+    for label, interpreted, compiled, _iters in _workloads(db, 1):
+        assert interpreted() == compiled(), label
+    assert db.select("docs", where=SCAN_WHERE)  # the predicate selects rows
 
 
 def test_e19_compiled_scan_beats_interpreted():
     db = build_corpus(8_000)
-    fn_iters = _workloads(db, 30)[0]
-    interp, compiled = _best_both_modes(fn_iters[1], fn_iters[2])
-    assert compiled >= 2.0 * interp  # full run shows >=10x; CI floor
+    _label, interpreted, compiled, iters = _workloads(db, 30)[0]
+    interp_qps, compiled_qps = _best_both(interpreted, compiled, iters)
+    assert compiled_qps >= 2.0 * interp_qps  # full run shows >=10x; CI floor
 
 
 def test_e19_bench_compiled_scan(benchmark):
     db = build_corpus(4_000)
-    previous = os.environ.get(ENV_VAR)
-    try:
-        _set_mode(True)
-        benchmark(lambda: db.select("docs", where=SCAN_WHERE))
-    finally:
-        _restore_mode(previous)
+    benchmark(lambda: db.select("docs", where=SCAN_WHERE))
 
 
 # ---------------------------------------------------------------------------
 def smoke() -> int:
-    """CI perf guard at small scale (interpreted baseline measured
-    in-run, floors generous for shared runners)."""
+    """CI perf guard at small scale (interpreted baseline from the
+    oracle measured in-run, floors generous for shared runners)."""
     failures = []
     results = measure(10_000, 40)
     floors = {"full scan": 4.0, "join query": 2.5}

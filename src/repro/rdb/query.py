@@ -23,9 +23,8 @@ WHERE tree is lowered to one generated filter function per statement and
 rows are pulled in batches of :data:`~repro.rdb.compile.DEFAULT_BATCH`,
 so the per-row cost is the comparisons themselves rather than tree
 interpretation plus generator hops.  Observability tallies per batch,
-not per row.  The ``REPRO_COMPILED_EXEC=0`` kill switch restores the
-interpreted per-row pipeline (batch size 1, ``Expr.eval`` per row) for
-differential testing; EXPLAIN reports which mode a statement ran under.
+not per row.  The per-row executor this replaced survives only as the
+differential test oracle (``tests/rdb/oracle.py``).
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.obs.instrument import OBS
-from repro.rdb.compile import DEFAULT_BATCH, batch_filter, compiled_exec_enabled
+from repro.rdb.compile import DEFAULT_BATCH, batch_filter
 from repro.rdb.errors import UnknownColumnError
 from repro.rdb.predicate import Expr, col, equality_bindings, range_bounds
 from repro.rdb.stats import TableStatistics
@@ -45,6 +44,7 @@ from repro.rdb.table import Table
 
 __all__ = [
     "SelectPlan",
+    "check_limit_offset",
     "execute_select",
     "range_scan",
     "join_rows",
@@ -62,10 +62,7 @@ class SelectPlan:
     pushdown) or ``"scan"``.  ``estimated_cost`` is the planner's row
     estimate for the chosen path; ``chosen_conjuncts`` are the WHERE
     conjuncts the path consumed; ``pushdown`` describes a range pushed
-    into a sorted index (``None`` otherwise).  ``exec_mode`` is
-    ``"compiled"`` (codegen'd batch filter) or ``"interpreted"`` (the
-    ``REPRO_COMPILED_EXEC=0`` fallback), with ``batch_size`` rows pulled
-    per executor step.
+    into a sorted index (``None`` otherwise).
     """
 
     table: str
@@ -74,8 +71,6 @@ class SelectPlan:
     estimated_cost: float = 0.0
     chosen_conjuncts: tuple[str, ...] = ()
     pushdown: str | None = None
-    exec_mode: str = "compiled"
-    batch_size: int = DEFAULT_BATCH
 
     def describe(self) -> str:
         """One-line EXPLAIN rendering."""
@@ -87,7 +82,6 @@ class SelectPlan:
             parts.append("using " + " AND ".join(self.chosen_conjuncts))
         if self.pushdown:
             parts.append(f"pushdown {self.pushdown}")
-        parts.append(f"exec={self.exec_mode} batch={self.batch_size}")
         return " ".join(parts)
 
 
@@ -129,7 +123,6 @@ def plan_select(
                 candidate.cost == best.cost and best.access_path == "scan"
             ):
                 best = candidate
-    compiled = compiled_exec_enabled()
     plan = SelectPlan(
         table=table.schema.name,
         access_path=best.access_path,
@@ -137,8 +130,6 @@ def plan_select(
         estimated_cost=best.cost,
         chosen_conjuncts=best.conjuncts,
         pushdown=best.pushdown,
-        exec_mode="compiled" if compiled else "interpreted",
-        batch_size=DEFAULT_BATCH if compiled else 1,
     )
     return plan, best.rowids()
 
@@ -197,6 +188,14 @@ def _index_candidates(
         )
 
 
+def check_limit_offset(limit: int | None, offset: int) -> None:
+    """Reject a negative LIMIT or OFFSET (SQL has no meaning for them)."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
+    if offset < 0:
+        raise ValueError(f"offset must be >= 0, got {offset}")
+
+
 def execute_select(
     table: Table,
     where: Expr | None = None,
@@ -213,6 +212,7 @@ def execute_select(
     occurrence wins, before LIMIT/OFFSET are applied), matching SQL's
     SELECT DISTINCT over the projected columns.
     """
+    check_limit_offset(limit, offset)
     if columns is not None:
         for name in columns:
             if not table.schema.has_column(name):
@@ -223,18 +223,10 @@ def execute_select(
     if OBS.enabled:
         handles = _obs_handles(table.schema.name, plan.access_path)
         handles[0].inc()
-    if (
-        plan.exec_mode == "compiled"
-        and order_by is None
-        and not descending
-        and not distinct
-    ):
+    if order_by is None and not descending and not distinct:
         # Hot path (no reorder, no dedup): batches extend the result
         # list directly and projection is one comprehension — no
         # per-row generator resumption between filter and output.
-        # Interpreted mode keeps the per-row generator pipeline below,
-        # preserving the pre-compilation executor as the differential
-        # baseline.
         needed = None if limit is None else limit + offset
         matched = _collect_matching(table, plan, rowids, where, counts, needed)
         if needed is not None:
@@ -353,8 +345,8 @@ def _candidate_batches(
     if plan.access_path == "scan":
         # Scan straight off the heap snapshot: no per-row rowid hop,
         # no per-row table.get().
-        return table.rows_batches(plan.batch_size)
-    return _row_batches(table, rowids, plan.batch_size)
+        return table.rows_batches(DEFAULT_BATCH)
+    return _row_batches(table, rowids, DEFAULT_BATCH)
 
 
 def _collect_matching(
@@ -381,10 +373,7 @@ def _collect_matching(
         counts[1] += 1
         if where is None:
             return rows
-        if plan.exec_mode == "compiled":
-            return batch_filter(where)(rows)
-        evaluate = where.eval
-        return [row for row in rows if evaluate(row)]
+        return batch_filter(where)(rows)
     out: list[dict[str, Any]] = []
     extend = out.extend
     batches = _candidate_batches(table, plan, rowids)
@@ -395,23 +384,12 @@ def _collect_matching(
             extend(batch)
             if needed is not None and len(out) >= needed:
                 break
-    elif plan.exec_mode == "compiled":
+    else:
         matching = batch_filter(where)
         for batch in batches:
             counts[0] += len(batch)
             counts[1] += 1
             extend(matching(batch))
-            if needed is not None and len(out) >= needed:
-                break
-    else:
-        evaluate = where.eval
-        append = out.append
-        for batch in batches:
-            counts[0] += len(batch)
-            counts[1] += 1
-            for row in batch:
-                if evaluate(row):
-                    append(row)
             if needed is not None and len(out) >= needed:
                 break
     return out
@@ -428,10 +406,9 @@ def _matching_rows(
 
     ``counts`` is a two-slot tally ([rows examined, batches pulled]) the
     caller flushes to observability after consumption — two integer adds
-    per *batch* replace the per-row counting iterator the interpreted
-    executor used, which is what takes enabled-obs scan overhead under
-    1%.  Stays lazy across batches, so LIMIT without ORDER BY stops
-    pulling once it has enough rows.
+    per *batch*, never per row, which is what keeps enabled-obs scan
+    overhead under 1%.  Stays lazy across batches, so LIMIT without
+    ORDER BY stops pulling once it has enough rows.
     """
     batches = _candidate_batches(table, plan, rowids)
     if where is None:
@@ -439,20 +416,12 @@ def _matching_rows(
             counts[0] += len(batch)
             counts[1] += 1
             yield from batch
-    elif plan.exec_mode == "compiled":
+    else:
         matching = batch_filter(where)
         for batch in batches:
             counts[0] += len(batch)
             counts[1] += 1
             yield from matching(batch)
-    else:
-        evaluate = where.eval
-        for batch in batches:
-            counts[0] += len(batch)
-            counts[1] += 1
-            for row in batch:
-                if evaluate(row):
-                    yield row
 
 
 def _hashable(value: Any) -> Any:
@@ -485,33 +454,20 @@ def range_scan(
                 low, high, include_low=include_low, include_high=include_high
             )
         ]
-    if compiled_exec_enabled():
-        # Lower the bounds to a predicate tree and run it through the
-        # compiled batch filter — same null/ordering semantics as the
-        # interpreted loop below (None keys excluded, unorderable
-        # values raise), one generated comparison chain per batch row.
-        where = col(column).not_null()
-        if low is not None:
-            where = where & (
-                col(column) >= low if include_low else col(column) > low
-            )
-        if high is not None:
-            where = where & (
-                col(column) <= high if include_high else col(column) < high
-            )
-        matching = batch_filter(where)
-        return [dict(row) for row in matching(table.rows_list())]
-    out: list[dict[str, Any]] = []
-    for row in table.rows():
-        value = row[column]
-        if value is None:
-            continue
-        if low is not None and (value < low or (value == low and not include_low)):
-            continue
-        if high is not None and (value > high or (value == high and not include_high)):
-            continue
-        out.append(dict(row))
-    return out
+    # Lower the bounds to a predicate tree and run it through the
+    # compiled batch filter: None keys are excluded and unorderable
+    # values raise, one generated comparison chain per batch row.
+    where = col(column).not_null()
+    if low is not None:
+        where = where & (
+            col(column) >= low if include_low else col(column) > low
+        )
+    if high is not None:
+        where = where & (
+            col(column) <= high if include_high else col(column) < high
+        )
+    matching = batch_filter(where)
+    return [dict(row) for row in matching(table.rows_list())]
 
 
 def _join_key_fns(
@@ -562,16 +518,10 @@ def join_rows(
     The vectorized form decomposes every row into (key shape, value
     tuple) so a merged output row is a single C-level ``dict(zip(...))``
     over cached prefixed-name tuples — no per-column formatting, no
-    intermediate dicts.  The ``REPRO_COMPILED_EXEC=0`` kill switch
-    restores the per-row interpreted merge loop.
+    intermediate dicts.
     """
     if kind not in ("inner", "left"):
         raise ValueError(f"join kind must be 'inner' or 'left', got {kind!r}")
-    if not compiled_exec_enabled():
-        return _join_rows_interpreted(
-            left_rows, right_rows, on,
-            left_prefix=left_prefix, right_prefix=right_prefix, kind=kind,
-        )
     left_key, right_key, key_has_null = _join_key_fns(on)
     right_cache: dict[tuple, tuple[str, ...]] = {}
     buckets: dict[Any, list[tuple[tuple[str, ...], tuple]]] = {}
@@ -609,41 +559,6 @@ def join_rows(
                     right_names, left_names + right_names
                 )
             append(dict(zip(shape[1], left_values + right_values)))
-    return out
-
-
-def _join_rows_interpreted(
-    left_rows: Iterable[dict[str, Any]],
-    right_rows: Iterable[dict[str, Any]],
-    on: Sequence[tuple[str, str]],
-    *,
-    left_prefix: str = "l",
-    right_prefix: str = "r",
-    kind: str = "inner",
-) -> list[dict[str, Any]]:
-    """The pre-vectorization hash join, kept verbatim for the kill
-    switch: the differential suite pins ``join_rows`` to this output."""
-    right_list = list(right_rows)
-    buckets: dict[tuple, list[dict[str, Any]]] = {}
-    for row in right_list:
-        key = tuple(row[rc] for _lc, rc in on)
-        buckets.setdefault(key, []).append(row)
-    right_columns: set[str] = set()
-    for row in right_list:
-        right_columns.update(row)
-    out: list[dict[str, Any]] = []
-    for left in left_rows:
-        key = tuple(left[lc] for lc, _rc in on)
-        matches = buckets.get(key, []) if None not in key else []
-        if matches:
-            for right in matches:
-                merged = {f"{left_prefix}.{k}": v for k, v in left.items()}
-                merged.update({f"{right_prefix}.{k}": v for k, v in right.items()})
-                out.append(merged)
-        elif kind == "left":
-            merged = {f"{left_prefix}.{k}": v for k, v in left.items()}
-            merged.update({f"{right_prefix}.{k}": None for k in right_columns})
-            out.append(merged)
     return out
 
 

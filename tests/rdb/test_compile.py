@@ -1,16 +1,14 @@
 """Unit tests for compiled predicate execution (repro.rdb.compile).
 
 Covers the codegen / closure-fallback split, per-expression caching,
-the restricted generated namespace, the ``REPRO_COMPILED_EXEC`` kill
-switch, EXPLAIN's exec-mode report, the LIKE-regex LRU cache, and the
+the restricted generated namespace, the LIKE-regex LRU cache, and the
 batched write paths the vectorized executor leans on.  Semantic
 equivalence with the interpreter is pinned separately by the Hypothesis
-suite in ``test_compile_properties.py``.
+suites in ``test_compile_properties.py`` and
+``test_oracle_differential.py``.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -24,12 +22,9 @@ from repro.rdb import (
     col,
 )
 from repro.rdb.compile import (
-    DEFAULT_BATCH,
-    ENV_VAR,
     _SAFE_BUILTINS,
     batch_filter,
     compile_mode,
-    compiled_exec_enabled,
     compiled_predicate,
     compiled_source,
     predicate_fn,
@@ -43,12 +38,6 @@ ROWS = [
     {"a": 2, "b": "y", "c": 7},
     {"a": None, "b": "xx", "c": 3},
 ]
-
-
-@pytest.fixture
-def kill_switch(monkeypatch):
-    """Force interpreted mode for the duration of one test."""
-    monkeypatch.setenv(ENV_VAR, "0")
 
 
 def _docs_db() -> Database:
@@ -84,6 +73,8 @@ def test_compiled_closure_is_cached_per_expression():
     expr = col("a") == 1
     assert compiled_predicate(expr) is compiled_predicate(expr)
     assert batch_filter(expr) is batch_filter(expr)
+    assert predicate_fn(expr) is compiled_predicate(expr)
+    assert predicate_fn(None) is None
     # Distinct (if equal-shaped) trees compile independently.
     assert compiled_predicate(col("a") == 1) is not compiled_predicate(expr)
 
@@ -108,49 +99,6 @@ def test_generated_namespace_is_restricted():
     fn = compiled_predicate(col("a") == 1)
     namespace = getattr(fn, "__globals__", {})
     assert namespace.get("__builtins__") is _SAFE_BUILTINS
-
-
-# -- kill switch ------------------------------------------------------------
-def test_predicate_fn_dispatches_on_mode(kill_switch):
-    expr = col("a") == 1
-    assert not compiled_exec_enabled()
-    assert predicate_fn(expr) == expr.eval
-    assert predicate_fn(None) is None
-    os.environ[ENV_VAR] = "1"
-    assert compiled_exec_enabled()
-    assert predicate_fn(expr) is compiled_predicate(expr)
-
-
-def test_select_results_identical_across_modes(monkeypatch):
-    db = _docs_db()
-    db.insert_many("docs", [
-        {"doc_id": i, "author": f"a{i % 5}", "size": i * 3 % 17}
-        for i in range(60)
-    ])
-    where = (col("size") > 4) & col("author").isin(("a1", "a3"))
-    monkeypatch.setenv(ENV_VAR, "0")
-    interpreted = db.select("docs", where=where, order_by="doc_id")
-    monkeypatch.setenv(ENV_VAR, "1")
-    compiled = db.select("docs", where=where, order_by="doc_id")
-    assert interpreted == compiled and compiled
-
-
-# -- EXPLAIN reports execution mode ----------------------------------------
-def test_explain_reports_compiled_exec(monkeypatch):
-    db = _docs_db()
-    monkeypatch.setenv(ENV_VAR, "1")
-    plan = db.explain_plan("docs", col("size") > 4)
-    assert plan.exec_mode == "compiled"
-    assert plan.batch_size == DEFAULT_BATCH
-    assert f"exec=compiled batch={DEFAULT_BATCH}" in plan.describe()
-
-
-def test_explain_reports_interpreted_exec(kill_switch):
-    db = _docs_db()
-    plan = db.explain_plan("docs", col("size") > 4)
-    assert plan.exec_mode == "interpreted"
-    assert plan.batch_size == 1
-    assert "exec=interpreted batch=1" in plan.describe()
 
 
 # -- LIKE regex LRU cache ---------------------------------------------------

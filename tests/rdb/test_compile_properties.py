@@ -5,23 +5,18 @@ columns, unhashable values, type mismatches — the compiled closure and
 the fused batch filter must agree with the interpreter on *outcomes*:
 the same value back, or the same exception type raised.  A second
 property pins the batched executor end to end: ``execute_select``
-equals a naive evaluate-every-row scan, with the kill switch set both
-ways.
+equals a naive evaluate-every-row scan and the per-row reference
+oracle (``tests/rdb/oracle.py``).
 """
 
 from __future__ import annotations
 
-import os
-
 from hypothesis import given, settings, strategies as st
 
 from repro.rdb import Column, ColumnType, Database, Schema, col, lit
-from repro.rdb.compile import (
-    ENV_VAR,
-    batch_filter,
-    compiled_predicate,
-)
+from repro.rdb.compile import batch_filter, compiled_predicate
 from repro.rdb.predicate import Expr
+from tests.rdb import oracle
 
 T = ColumnType
 
@@ -182,14 +177,6 @@ def test_batched_select_equals_naive_scan(expr, rows, limit, offset):
     db = _build(rows)
     naive = [dict(r) for r in db.table("t").rows() if expr.eval(r)]
     expected = naive[offset:offset + limit if limit is not None else None]
-    previous = os.environ.get(ENV_VAR)
-    try:
-        for mode in ("1", "0"):
-            os.environ[ENV_VAR] = mode
-            got = db.select("t", where=expr, limit=limit, offset=offset)
-            assert got == expected, f"mode={mode}"
-    finally:
-        if previous is None:
-            os.environ.pop(ENV_VAR, None)
-        else:
-            os.environ[ENV_VAR] = previous
+    reference = oracle.select(db.table("t"), where=expr, limit=limit, offset=offset)
+    assert reference == expected
+    assert db.select("t", where=expr, limit=limit, offset=offset) == reference

@@ -44,6 +44,21 @@ class TestDistinct:
         assert [r["person_id"] for r in rows] == [1, 2]
 
 
+class TestNegativeLimitOffset:
+    """A negative LIMIT or OFFSET is refused, whichever executor path
+    (unordered hot path, ordered top-k, DISTINCT) the select takes."""
+
+    @pytest.mark.parametrize("window", [
+        {"limit": -1}, {"offset": -1}, {"limit": -1, "offset": -2},
+    ])
+    @pytest.mark.parametrize("shape", [
+        {}, {"order_by": "amount"}, {"distinct": True},
+    ])
+    def test_rejected(self, populated_db, window, shape):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            populated_db.select("orders", **window, **shape)
+
+
 class TestUpsert:
     def test_insert_path(self, db):
         created = db.upsert("people", {"person_id": 1, "name": "new"})

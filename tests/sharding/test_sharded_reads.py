@@ -119,6 +119,18 @@ class TestGather:
         )
         assert [r["version"] for r in rows] == [1, 2, 3, 4, 5]
 
+    @pytest.mark.parametrize("window", [{"limit": -1}, {"offset": -1}])
+    def test_negative_window_refused_on_single_shard_route(
+        self, loaded, window
+    ):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            loaded.sharded.select("crash_docs", col("doc_id") == 7, **window)
+
+    @pytest.mark.parametrize("window", [{"limit": -1}, {"offset": -1}])
+    def test_negative_window_refused_on_scatter_gather(self, loaded, window):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            loaded.sharded.select("crash_docs", **window)
+
     def test_count_sums_over_pruned_shards(self, loaded):
         assert loaded.sharded.count("crash_docs") == 40
         assert loaded.sharded.count(

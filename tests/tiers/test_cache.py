@@ -129,6 +129,14 @@ class TestQueryCache:
         stats = cache.stats()
         assert stats == {"hits": 0, "misses": 1, "bypasses": 0, "entries": 1}
 
+    @pytest.mark.parametrize("window", [{"limit": -1}, {"offset": -1}])
+    def test_negative_limit_or_offset_is_refused_uncached(
+        self, db, cache, window
+    ):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            cache.select(db, "books", **window)
+        assert len(cache) == 0
+
     def test_rejects_zero_capacity(self, versions):
         with pytest.raises(ValueError):
             QueryCache(versions, max_entries=0)
