@@ -39,6 +39,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from benchmarks.common import print_table
 from repro.fault.crashsim import (
     CRASH_SCHEMAS,
+    JournalCrashScenario,
     build_crash_db,
     run_crash_matrix,
 )
@@ -53,16 +54,17 @@ MATRIX_STRIDE = 64
 # Crash matrix
 # ---------------------------------------------------------------------------
 def matrix_rows(txns: int, stride: int, seed: int = 0):
-    """One row per sweep of the kill-at-point matrix."""
+    """One row per measure of the kill-at-point matrix."""
     with tempfile.TemporaryDirectory() as workdir:
-        report = run_crash_matrix(
-            workdir, txns=txns, stride=stride, seed=seed
-        )
+        report = run_crash_matrix(JournalCrashScenario(
+            txns=txns, stride=stride, seed=seed
+        ), workdir)
+    counters = report.counters
     return report, [
-        ["crash points tested", report.points_tested],
-        ["torn tails tolerated", report.torn_tails],
-        ["corruptions detected (strict)", report.corruption_detected],
-        ["records recovered (total)", report.records_recovered],
+        ["crash checks (truncate + garble)", len(report.cases)],
+        ["torn tails tolerated", counters["torn_tails"]],
+        ["corruptions detected (strict)", counters["corruptions_detected"]],
+        ["records recovered (total)", counters["records_recovered"]],
         ["committed-prefix violations", len(report.failures)],
         ["constraint/index violations", 0 if report.ok else "see failures"],
     ]
@@ -195,7 +197,7 @@ def smoke() -> int:
     print("crash matrix guard:", "ok" if ok else "FAIL")
     if not ok:
         for failure in report.failures[:10]:
-            print(f"  {failure.kind} @ byte {failure.offset}: "
+            print(f"  {failure.target} @ byte {failure.offset}: "
                   f"{failure.detail}", file=sys.stderr)
     return 0 if ok else 1
 
@@ -212,7 +214,7 @@ def main() -> int:
     )
     if not report.ok:
         for failure in report.failures[:10]:
-            print(f"  FAILURE {failure.kind} @ byte {failure.offset}: "
+            print(f"  FAILURE {failure.target} @ byte {failure.offset}: "
                   f"{failure.detail}")
     sizes = [200, 400, 800, 1600]
     scale_rows, _ = scaling_rows(sizes)

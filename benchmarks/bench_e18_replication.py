@@ -21,8 +21,8 @@ side scales too.  E18 measures the three promises the subsystem makes:
   intact.  Commits the primary journaled but never shipped are
   *expected* casualties — that is the async-replication contract.
 
-A dense follower crash matrix (the E17 harness pointed at a follower
-killed mid-download and mid-replay) rounds it out.
+A dense follower crash matrix (the E17 crash-matrix engine pointed at
+a follower killed mid-download and mid-replay) rounds it out.
 """
 
 from __future__ import annotations
@@ -39,7 +39,9 @@ from repro.fault.crashsim import (
     CRASH_SCHEMAS,
     apply_workload_txn,
     build_crash_db,
+    crash_ddl,
     database_state,
+    run_crash_matrix,
     verify_database,
 )
 from repro.net.link import DuplexLink
@@ -49,9 +51,9 @@ from repro.net.transport import Network
 from repro.rdb.wal import Journal
 from repro.replication import (
     FailoverCoordinator,
+    FollowerCrashScenario,
     Recoverer,
     WalShipper,
-    run_follower_crash_matrix,
 )
 from repro.tiers import ClassAdministrator, ReplicaSet, Request
 from repro.tiers.remote import RemoteTierClient, RemoteTierServer
@@ -60,12 +62,6 @@ from repro.util.rng import make_rng
 
 LINK_MBPS = 10.0
 LATENCY_S = 0.005
-
-
-def _crash_ddl(db):
-    db.create_hash_index("crash_docs", "docs_by_version", ("version",))
-    db.create_sorted_index("crash_docs", "docs_by_id", "doc_id")
-    db.create_sorted_index("crash_refs", "refs_by_id", "ref_id")
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +177,7 @@ def lag_rows(
     )
     recoverer = Recoverer(
         network, "follower", "primary", CRASH_SCHEMAS,
-        workdir / "follower", sync_policy="commit", ddl_fn=_crash_ddl,
+        workdir / "follower", sync_policy="commit", ddl_fn=crash_ddl,
     )
     recoverer.start()
     network.quiesce()
@@ -236,7 +232,7 @@ def failover_rows(workdir: Path, txns: int = 24, unshipped: int = 3):
         network.add(Station(name))
         rec = Recoverer(
             network, name, "primary", CRASH_SCHEMAS, workdir / name,
-            sync_policy="commit", ddl_fn=_crash_ddl,
+            sync_policy="commit", ddl_fn=crash_ddl,
         )
         rec.start()
         coordinator.add_follower(rec)
@@ -283,16 +279,16 @@ def failover_rows(workdir: Path, txns: int = 24, unshipped: int = 3):
 # ---------------------------------------------------------------------------
 def chaos_rows(txns: int, stride: int, snapshot_stride: int):
     with tempfile.TemporaryDirectory() as workdir:
-        report = run_follower_crash_matrix(
-            workdir, txns=txns, stride=stride,
-            snapshot_stride=snapshot_stride, seed=0,
-        )
-    by_phase = {"replay": 0, "snapshot": 0}
+        report = run_crash_matrix(FollowerCrashScenario(
+            txns=txns, stride=stride, snapshot_stride=snapshot_stride,
+            seed=0,
+        ), workdir)
+    by_target = {"replay": 0, "snapshot": 0}
     for case in report.cases:
-        by_phase[case.phase] += 1
+        by_target[case.target] += 1
     rows = [
-        ["crash points (replay sweep)", by_phase["replay"]],
-        ["crash points (snapshot sweep)", by_phase["snapshot"]],
+        ["crash points (replay sweep)", by_target["replay"]],
+        ["crash points (snapshot sweep)", by_target["snapshot"]],
         ["crashes fired", sum(1 for c in report.cases if c.crashed)],
         ["recovery failures", len(report.failures)],
     ]

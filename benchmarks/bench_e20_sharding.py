@@ -36,7 +36,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from benchmarks.common import print_table
 from repro.rdb import Column, ColumnType, Database, Schema, col
 from repro.sharding.cluster import ShardCluster
-from repro.sharding.crash2pc import run_2pc_crash_matrix
+from repro.fault.crashsim import run_crash_matrix
+from repro.sharding.crash2pc import TwoPCCrashScenario
 from repro.sharding.shardmap import ShardMap, TableSharding
 from repro.tiers.shards import ShardedDatabase
 
@@ -226,8 +227,8 @@ def test_e20_differential_agrees(tmp_path):
 
 
 def test_e20_coarse_crash_matrix_holds(tmp_path):
-    report = run_2pc_crash_matrix(
-        tmp_path, num_shards=2, txns=6, stride=512
+    report = run_crash_matrix(
+        TwoPCCrashScenario(num_shards=2, txns=6, stride=512), tmp_path
     )
     assert report.ok, report.summary()
 
@@ -273,8 +274,9 @@ def smoke() -> int:
             failures.append(f"differential: {problem}")
         print("differential vs single node:",
               "FAIL" if problems else "ok (3 shapes x 3 shard counts)")
-        report = run_2pc_crash_matrix(
-            workdir / "crash", num_shards=2, txns=8, stride=256
+        report = run_crash_matrix(
+            TwoPCCrashScenario(num_shards=2, txns=8, stride=256),
+            workdir / "crash",
         )
         print(report.summary())
         if not report.ok:
@@ -317,8 +319,9 @@ def main() -> int:
                  f"{twopc / direct:.2f}x"],
             ],
         )
-        report = run_2pc_crash_matrix(
-            workdir / "crash", num_shards=2, txns=10, stride=96
+        report = run_crash_matrix(
+            TwoPCCrashScenario(num_shards=2, txns=10, stride=96),
+            workdir / "crash",
         )
         fired = sum(1 for case in report.cases if case.crashed)
         print_table(

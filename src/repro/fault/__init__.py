@@ -23,8 +23,9 @@ the order a real failure unfolds:
   above into one table;
 * :mod:`repro.fault.crashsim` — a deterministic crash-injection
   harness for the storage engine's journal: failpoint file wrappers
-  kill the write stream at exact byte offsets, and an exhaustive
-  kill-at-point matrix proves recovery's committed-prefix guarantee.
+  kill the write stream at exact byte offsets, and the one
+  kill-at-point matrix engine (journal, follower and 2PC scenarios)
+  proves recovery's committed-prefix guarantee.
 
 With no schedule armed and no detector started, nothing here touches
 the healthy path: experiments E1–E13 are byte-identical with or
@@ -46,11 +47,14 @@ from repro.fault.crashsim import (
     CRASH_SCHEMAS,
     AckedTxn,
     CrashCase,
-    CrashMatrixReport,
+    CrashReport,
     CrashWorkload,
     FailpointFile,
+    JournalCrashScenario,
     SimulatedCrashError,
+    crash_ddl,
     crash_points,
+    frame_boundaries,
     run_crash_matrix,
     run_crash_workload,
     verify_database,
@@ -78,7 +82,10 @@ __all__ = [
     "AckedTxn",
     "CrashWorkload",
     "CrashCase",
-    "CrashMatrixReport",
+    "CrashReport",
+    "JournalCrashScenario",
+    "crash_ddl",
+    "frame_boundaries",
     "crash_points",
     "run_crash_workload",
     "run_crash_matrix",

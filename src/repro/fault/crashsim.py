@@ -17,12 +17,15 @@ Two complementary instruments:
   kills the write stream at an exact byte offset (truncating it, or
   garbling the byte first), so a live engine run crashes mid-append
   exactly where the schedule says;
-* :func:`run_crash_matrix` — records one golden workload run, then
-  replays a kill-at-point sweep over every record boundary and every
-  ``stride``-byte offset within records, recovering and verifying the
-  committed prefix at each point, plus a garble sweep checking that
-  mid-file corruption is detected strictly and survivable in salvage
-  mode.
+* :func:`run_crash_matrix` — the one crash-matrix engine.  A scenario
+  records a golden run; the runner enumerates every frame boundary and
+  every ``stride``-byte offset of each target write stream
+  (:func:`crash_points`) and asks the scenario to kill, recover and
+  audit at each point.  :class:`JournalCrashScenario` here sweeps the
+  single-engine journal (truncate and garble);
+  :class:`~repro.replication.chaos.FollowerCrashScenario` and
+  :class:`~repro.sharding.crash2pc.TwoPCCrashScenario` run through the
+  same engine.
 
 Everything is seeded and offset-driven — a failing crash point is a
 one-line reproduction.
@@ -32,9 +35,10 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO, Iterator
+from typing import Any, BinaryIO
 
 from repro.rdb import (
     Action,
@@ -45,7 +49,7 @@ from repro.rdb import (
     JournalCorruptError,
     Schema,
 )
-from repro.rdb.wal import Journal
+from repro.rdb.wal import Journal, read_frames
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -54,17 +58,18 @@ __all__ = [
     "CRASH_SCHEMAS",
     "AckedTxn",
     "CrashWorkload",
-    "CrashCase",
-    "CrashMatrixReport",
+    "crash_ddl",
     "build_crash_db",
     "run_crash_workload",
     "recover_crash_db",
     "verify_database",
     "database_state",
+    "frame_boundaries",
     "crash_points",
+    "CrashCase",
+    "CrashReport",
     "run_crash_matrix",
-    "iter_live_crashes",
-    "report_as_json",
+    "JournalCrashScenario",
 ]
 
 T = ColumnType
@@ -223,16 +228,23 @@ class CrashWorkload:
         return None
 
 
-def build_crash_db(name: str = "crashdb",
-                   journal: Journal | None = None) -> Database:
-    """A database over :data:`CRASH_SCHEMAS` with the workload's
-    secondary indexes declared (same DDL a recovery run re-issues)."""
-    db = Database(name)
-    for schema in CRASH_SCHEMAS:
-        db.create_table(schema)
+def crash_ddl(db: Database) -> None:
+    """The workload's secondary-index DDL.  Every database over
+    :data:`CRASH_SCHEMAS` issues exactly this: a fresh one, a recovered
+    one (backfilling from rows), and a follower after each rebuild."""
     db.create_hash_index("crash_docs", "docs_by_version", ("version",))
     db.create_sorted_index("crash_docs", "docs_by_id", "doc_id")
     db.create_sorted_index("crash_refs", "refs_by_id", "ref_id")
+
+
+def build_crash_db(name: str = "crashdb",
+                   journal: Journal | None = None) -> Database:
+    """A database over :data:`CRASH_SCHEMAS` with :func:`crash_ddl`
+    declared."""
+    db = Database(name)
+    for schema in CRASH_SCHEMAS:
+        db.create_table(schema)
+    crash_ddl(db)
     if journal is not None:
         db.attach_journal(journal)
     return db
@@ -280,28 +292,47 @@ def apply_workload_txn(db: Database, k: int, rng: Any) -> None:
 
 
 def run_crash_workload(
-    workdir: str | Path, *, txns: int = 40, seed: int = 0
+    workdir: str | Path,
+    *,
+    txns: int = 40,
+    seed: int = 0,
+    crash_at: int | None = None,
 ) -> CrashWorkload:
-    """Run the golden workload with ``sync=commit`` (acked ⇒ durable),
-    recording every transaction's byte extent and expected state."""
+    """Run the workload with ``sync=commit`` (acked ⇒ durable),
+    recording every transaction's byte extent and expected state.
+
+    With ``crash_at`` the journal writes through a live
+    :class:`FailpointFile` armed at that byte: the run stops when the
+    failpoint fires, and the result holds only the transactions acked
+    before it.  Recovering its ``journal_path`` exercises the real
+    append/fsync path rather than post-hoc byte surgery.
+    """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    path = workdir / "golden.wal"
-    journal = Journal(path, sync="commit")
+    path = workdir / "journal.wal"
+    journal = Journal(
+        path, sync="commit",
+        file_wrapper=None if crash_at is None
+        else lambda fh: FailpointFile(fh, crash_at),
+    )
     db = build_crash_db(journal=journal)
     rng = make_rng(seed, "crashsim-workload")
     acks: list[AckedTxn] = []
-    for k in range(1, txns + 1):
-        start = journal.tell()
-        apply_workload_txn(db, k, rng)
-        acks.append(AckedTxn(
-            txn_id=k,
-            lsn=journal.last_lsn,
-            start_offset=start,
-            end_offset=journal.tell(),
-            state=database_state(db),
-        ))
-    journal.close()
+    try:
+        for k in range(1, txns + 1):
+            start = journal.tell()
+            apply_workload_txn(db, k, rng)
+            acks.append(AckedTxn(
+                txn_id=k,
+                lsn=journal.last_lsn,
+                start_offset=start,
+                end_offset=journal.tell(),
+                state=database_state(db),
+            ))
+    except SimulatedCrashError:
+        pass
+    finally:
+        journal.close()
     return CrashWorkload(journal_path=path, data=path.read_bytes(),
                          acks=acks)
 
@@ -310,14 +341,12 @@ def recover_crash_db(
     journal_path: str | Path, *, salvage: bool = False
 ) -> Database:
     """Recover a workload database from ``journal_path`` and re-issue
-    the workload's secondary-index DDL (backfilling from rows)."""
+    :func:`crash_ddl` (backfilling from rows)."""
     db = Database.recover(
         "crashdb", CRASH_SCHEMAS, journal_path=str(journal_path),
         salvage=salvage,
     )
-    db.create_hash_index("crash_docs", "docs_by_version", ("version",))
-    db.create_sorted_index("crash_docs", "docs_by_id", "doc_id")
-    db.create_sorted_index("crash_refs", "refs_by_id", "ref_id")
+    crash_ddl(db)
     return db
 
 
@@ -397,8 +426,17 @@ def verify_database(db: Database) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# The crash matrix
+# The crash-matrix engine
 # ---------------------------------------------------------------------------
+def frame_boundaries(path: str | Path) -> list[int]:
+    """Byte offsets of a journal's frame ends: 0 plus each cumulative
+    frame end (just ``[0]`` when the journal does not exist)."""
+    bounds = [0]
+    for frame in read_frames(path):
+        bounds.append(bounds[-1] + len(frame.data))
+    return bounds
+
+
 def crash_points(
     size: int, boundaries: list[int], *, stride: int = 64
 ) -> list[int]:
@@ -412,79 +450,182 @@ def crash_points(
 
 @dataclass(frozen=True, slots=True)
 class CrashCase:
-    """One crash point's outcome."""
+    """One kill point's outcome."""
 
+    #: which write stream was killed: a sweep name or a node
+    target: Any
     offset: int
-    kind: str  # "truncate" | "garble"
     ok: bool
+    #: whether the failpoint fired (the end-of-file control never does)
+    crashed: bool = False
+    #: the scenario's verdict: the golden state a 2PC cluster recovered
+    #: to, a follower's recovered LSN, or the journal sweep's counters
+    outcome: Any = None
     detail: str = ""
 
 
 @dataclass
-class CrashMatrixReport:
-    """Aggregated results of one kill-at-point sweep."""
+class CrashReport:
+    """Every case of one crash matrix."""
 
-    points_tested: int = 0
-    failures: list[CrashCase] = field(default_factory=list)
-    torn_tails: int = 0
-    corruption_detected: int = 0
-    records_recovered: int = 0
+    name: str
+    cases: list[CrashCase] = field(default_factory=list)
+
+    @property
+    def failures(self) -> list[CrashCase]:
+        return [c for c in self.cases if not c.ok]
 
     @property
     def ok(self) -> bool:
-        """True when every crash point recovered correctly."""
+        """True when every kill point recovered correctly."""
         return not self.failures
+
+    @property
+    def counters(self) -> Counter[str]:
+        """Per-case counters summed over the matrix (the journal
+        sweeps' torn tails, corruptions detected, records recovered)."""
+        total: Counter[str] = Counter()
+        for case in self.cases:
+            if isinstance(case.outcome, Counter):
+                total.update(case.outcome)
+        return total
 
     def summary(self) -> str:
         """One-line human summary."""
+        fired = sum(1 for c in self.cases if c.crashed)
+        counts = "".join(
+            f", {value} {key.replace('_', ' ')}"
+            for key, value in sorted(self.counters.items())
+        )
         status = "ok" if self.ok else f"{len(self.failures)} FAILURES"
         return (
-            f"crash matrix: {self.points_tested} points, "
-            f"{self.torn_tails} torn tails, "
-            f"{self.corruption_detected} corruptions detected, "
-            f"{self.records_recovered} records recovered — {status}"
+            f"{self.name}: {len(self.cases)} points ({fired} fired)"
+            f"{counts} — {status}"
+        )
+
+    def to_json(self) -> str:
+        """Serialize the report for CI artifacts."""
+        return json.dumps(
+            {
+                "name": self.name,
+                "points": len(self.cases),
+                "ok": self.ok,
+                "counters": dict(self.counters),
+                "failures": [
+                    {"target": c.target, "offset": c.offset,
+                     "detail": c.detail}
+                    for c in self.failures
+                ],
+            },
+            indent=2,
         )
 
 
+def run_crash_matrix(scenario: Any, workdir: str | Path) -> CrashReport:
+    """Record ``scenario``'s golden run, then kill-at-point sweep it.
+
+    A scenario is any object with a ``name`` and three methods:
+
+    * ``golden(dir)`` — the crash-free run: the state after every ack
+      and each target's write-stream size and frame boundaries;
+    * ``sweeps(golden)`` — ``(target, size, boundaries, stride)`` per
+      write stream to kill;
+    * ``check(golden, target, offset, dir)`` — kill ``target`` at
+      ``offset``, recover, audit against the golden run, and return the
+      :class:`CrashCase`.
+
+    Each sweep covers :func:`crash_points` of its stream; every case
+    gets its own numbered directory.
+    """
+    workdir = Path(workdir)
+    workdir.mkdir(parents=True, exist_ok=True)
+    golden = scenario.golden(workdir / "golden")
+    report = CrashReport(scenario.name)
+    for target, size, boundaries, stride in scenario.sweeps(golden):
+        for offset in crash_points(size, boundaries, stride=stride):
+            casedir = workdir / f"case-{len(report.cases) + 1:04d}"
+            casedir.mkdir()
+            report.cases.append(
+                scenario.check(golden, target, offset, casedir)
+            )
+    return report
+
+
+# ---------------------------------------------------------------------------
+# The single-engine journal scenario (E17)
+# ---------------------------------------------------------------------------
+class JournalCrashScenario:
+    """Kill the workload journal at every point of two sweeps.
+
+    ``truncate`` cuts the journal there, recovers strictly, and asserts
+    the committed-prefix guarantee plus full constraint/index
+    consistency.  ``garble`` flips one bit there: strict recovery must
+    detect mid-file corruption (damage in the final record is a torn
+    tail) and salvage recovery must keep everything but the damaged
+    record, consistently.
+    """
+
+    name = "crash matrix"
+
+    def __init__(self, *, txns: int = 40, stride: int = 64,
+                 seed: int = 0) -> None:
+        self.txns = txns
+        self.stride = stride
+        self.seed = seed
+
+    def golden(self, workdir: Path) -> CrashWorkload:
+        return run_crash_workload(workdir, txns=self.txns, seed=self.seed)
+
+    def sweeps(self, golden: CrashWorkload) -> list[tuple]:
+        size = len(golden.data)
+        return [
+            ("truncate", size, golden.boundaries(), self.stride),
+            # A bit flip needs a byte to flip: stop one short of EOF.
+            ("garble", size - 1, golden.boundaries(), self.stride),
+        ]
+
+    def check(self, golden: CrashWorkload, target: str, offset: int,
+              casedir: Path) -> CrashCase:
+        path = casedir / "journal.wal"
+        if target == "truncate":
+            return _check_truncation_point(golden, path, offset)
+        return _check_garble_point(golden, path, offset)
+
+
 def _check_truncation_point(
-    workload: CrashWorkload, case_path: Path, offset: int,
-    report: CrashMatrixReport,
-) -> None:
+    workload: CrashWorkload, case_path: Path, offset: int
+) -> CrashCase:
     """Crash-by-truncation at ``offset``: strict recovery must succeed
     and reproduce exactly the committed prefix."""
+    crashed = offset < len(workload.data)
     case_path.write_bytes(workload.data[:offset])
     try:
         db = recover_crash_db(case_path, salvage=False)
     except JournalCorruptError as exc:
-        report.failures.append(CrashCase(
-            offset, "truncate", False,
-            f"strict recovery raised on pure truncation: {exc}",
-        ))
-        return
-    expected = workload.state_at(offset)
-    got = database_state(db)
-    if got != expected:
-        report.failures.append(CrashCase(
-            offset, "truncate", False,
-            "committed-prefix violation: recovered state diverges from "
-            "the last acked transaction at or before the crash point",
-        ))
-        return
+        return CrashCase(
+            "truncate", offset, False, crashed,
+            detail=f"strict recovery raised on pure truncation: {exc}",
+        )
+    if database_state(db) != workload.state_at(offset):
+        return CrashCase(
+            "truncate", offset, False, crashed,
+            detail="committed-prefix violation: recovered state diverges "
+            "from the last acked transaction at or before the crash point",
+        )
     problems = verify_database(db)
     if problems:
-        report.failures.append(CrashCase(
-            offset, "truncate", False, "; ".join(problems)
-        ))
-        return
+        return CrashCase("truncate", offset, False, crashed,
+                         detail="; ".join(problems))
     assert db.recovery_stats is not None
-    report.torn_tails += db.recovery_stats.torn_tails
-    report.records_recovered += db.recovery_stats.records_recovered
+    return CrashCase("truncate", offset, True, crashed, Counter(
+        torn_tails=db.recovery_stats.torn_tails,
+        records_recovered=db.recovery_stats.records_recovered,
+    ))
 
 
 def _check_garble_point(
-    workload: CrashWorkload, case_path: Path, offset: int,
-    report: CrashMatrixReport,
-) -> None:
+    workload: CrashWorkload, case_path: Path, offset: int
+) -> CrashCase:
     """Flip one bit at ``offset``: strict recovery must detect mid-file
     corruption; salvage recovery must keep everything but the damaged
     record and stay consistent."""
@@ -493,135 +634,26 @@ def _check_garble_point(
     data[offset] ^= 0x40
     case_path.write_bytes(bytes(data))
     is_final = damaged is workload.acks[-1] if damaged else True
+    counters: Counter[str] = Counter()
     try:
         recover_crash_db(case_path, salvage=False)
         if not is_final:
-            report.failures.append(CrashCase(
-                offset, "garble", False,
-                "strict recovery accepted mid-file corruption silently",
-            ))
-            return
+            return CrashCase(
+                "garble", offset, False, True,
+                detail="strict recovery accepted mid-file corruption "
+                "silently",
+            )
     except JournalCorruptError:
-        report.corruption_detected += 1
+        counters["corruptions_detected"] += 1
     db = recover_crash_db(case_path, salvage=True)
     assert db.recovery_stats is not None
     expected_recovered = len(workload.acks) - (1 if damaged else 0)
     if db.recovery_stats.records_recovered != expected_recovered:
-        report.failures.append(CrashCase(
-            offset, "garble", False,
+        return CrashCase(
+            "garble", offset, False, True, counters,
             f"salvage recovered {db.recovery_stats.records_recovered} "
             f"records, expected {expected_recovered}",
-        ))
-        return
-    problems = verify_database(db)
-    if problems:
-        report.failures.append(CrashCase(
-            offset, "garble", False, "; ".join(problems)
-        ))
-
-
-def run_crash_matrix(
-    workdir: str | Path,
-    *,
-    txns: int = 40,
-    stride: int = 64,
-    garble: bool = True,
-    seed: int = 0,
-) -> CrashMatrixReport:
-    """Record a golden workload run, then kill-at-point sweep it.
-
-    Truncation sweep: for every record boundary and every ``stride``-th
-    byte (plus the no-crash control at EOF), cut the journal there,
-    recover strictly, and assert the committed-prefix guarantee plus
-    full constraint/index consistency.  Garble sweep (optional): flip a
-    bit at each offset and assert strict detection + salvage survival.
-    """
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    workload = run_crash_workload(workdir / "golden", txns=txns, seed=seed)
-    report = CrashMatrixReport()
-    case_path = workdir / "case.wal"
-    boundaries = workload.boundaries()
-    for offset in crash_points(len(workload.data), boundaries,
-                               stride=stride):
-        _check_truncation_point(workload, case_path, offset, report)
-        report.points_tested += 1
-    if garble:
-        for offset in crash_points(len(workload.data) - 1, boundaries,
-                                   stride=stride):
-            if offset >= len(workload.data):
-                continue
-            _check_garble_point(workload, case_path, offset, report)
-            report.points_tested += 1
-    return report
-
-
-def iter_live_crashes(
-    workdir: str | Path,
-    offsets: list[int],
-    *,
-    txns: int = 20,
-    seed: int = 0,
-    mode: str = "truncate",
-) -> Iterator[tuple[int, list[AckedTxn], Database]]:
-    """Run the workload against live :class:`FailpointFile` journals.
-
-    For each offset: arm a failpoint there, run the workload until the
-    simulated crash kills it, reopen the journal path cold, recover,
-    and yield ``(offset, acked_transactions, recovered_db)`` for the
-    caller to assert on.  Exercises the real append/fsync path rather
-    than post-hoc byte surgery.
-    """
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    for offset in offsets:
-        path = workdir / f"live-{offset}.wal"
-        journal = Journal(
-            path, sync="commit",
-            file_wrapper=lambda fh, _o=offset: FailpointFile(
-                fh, _o, mode=mode
-            ),
         )
-        db = build_crash_db(journal=journal)
-        rng = make_rng(seed, "crashsim-workload")
-        acked: list[AckedTxn] = []
-        try:
-            for k in range(1, txns + 1):
-                start = journal.tell()
-                apply_workload_txn(db, k, rng)
-                acked.append(AckedTxn(
-                    txn_id=k, lsn=journal.last_lsn,
-                    start_offset=start, end_offset=journal.tell(),
-                    state=database_state(db),
-                ))
-        except SimulatedCrashError:
-            pass
-        try:
-            journal.close()
-        except SimulatedCrashError:
-            pass
-        recovered = recover_crash_db(path, salvage=False)
-        yield offset, acked, recovered
-
-
-def _json_default(value: Any) -> Any:  # pragma: no cover - debug helper
-    return repr(value)
-
-
-def report_as_json(report: CrashMatrixReport) -> str:
-    """Serialize a matrix report for CI artifacts."""
-    return json.dumps(
-        {
-            "points_tested": report.points_tested,
-            "ok": report.ok,
-            "torn_tails": report.torn_tails,
-            "corruption_detected": report.corruption_detected,
-            "records_recovered": report.records_recovered,
-            "failures": [
-                {"offset": c.offset, "kind": c.kind, "detail": c.detail}
-                for c in report.failures
-            ],
-        },
-        indent=2,
-        default=_json_default,
-    )
+    problems = verify_database(db)
+    return CrashCase("garble", offset, not problems, True, counters,
+                     "; ".join(problems))

@@ -47,11 +47,7 @@ See DESIGN.md §11 for the architecture and the failover protocol.
 from repro.replication.shipper import FollowerProgress, WalShipper
 from repro.replication.recoverer import Recoverer, RecoveryStage
 from repro.replication.failover import FailoverCoordinator, FailoverReport
-from repro.replication.chaos import (
-    FollowerCrashCase,
-    FollowerCrashReport,
-    run_follower_crash_matrix,
-)
+from repro.replication.chaos import FollowerCrashScenario
 
 __all__ = [
     "WalShipper",
@@ -60,7 +56,5 @@ __all__ = [
     "RecoveryStage",
     "FailoverCoordinator",
     "FailoverReport",
-    "FollowerCrashCase",
-    "FollowerCrashReport",
-    "run_follower_crash_matrix",
+    "FollowerCrashScenario",
 ]

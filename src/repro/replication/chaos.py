@@ -17,92 +17,49 @@ The kill mechanism is the same :class:`~repro.fault.crashsim
 around the follower's journal (``file_wrapper``) or its snapshot
 download (``snapshot_wrapper``), so the failpoint fires inside a live
 network handler and the crash propagates out of the simulator drain
-exactly where a real process would die.
+exactly where a real process would die.  The sweep itself runs through
+the shared engine, :func:`~repro.fault.crashsim.run_crash_matrix`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from repro.fault.crashsim import (
     CRASH_SCHEMAS,
+    CrashCase,
     FailpointFile,
     SimulatedCrashError,
     apply_workload_txn,
     build_crash_db,
+    crash_ddl,
     database_state,
+    frame_boundaries,
     verify_database,
 )
 from repro.net.sim import Simulator
 from repro.net.station import Station
 from repro.net.transport import Network
-from repro.rdb import Database
 from repro.rdb.wal import Journal
 from repro.replication.recoverer import Recoverer
 from repro.replication.shipper import WalShipper
 from repro.util.rng import make_rng
 
-__all__ = [
-    "FollowerCrashCase",
-    "FollowerCrashReport",
-    "run_follower_crash_matrix",
-]
-
-
-@dataclass(frozen=True, slots=True)
-class FollowerCrashCase:
-    """One follower kill-point's outcome."""
-
-    offset: int
-    phase: str  # "replay" | "snapshot"
-    ok: bool
-    #: applied LSN the restarted follower recovered to (before resuming)
-    recovered_lsn: int = 0
-    #: whether the failpoint actually fired (EOF offsets are controls)
-    crashed: bool = False
-    detail: str = ""
-
-
-@dataclass
-class FollowerCrashReport:
-    """Aggregated results of one follower crash sweep."""
-
-    cases: list[FollowerCrashCase] = field(default_factory=list)
-
-    @property
-    def failures(self) -> list[FollowerCrashCase]:
-        return [c for c in self.cases if not c.ok]
-
-    @property
-    def ok(self) -> bool:
-        """True when every kill point recovered and resumed correctly."""
-        return not self.failures
-
-    def summary(self) -> str:
-        """One-line human summary."""
-        crashes = sum(1 for c in self.cases if c.crashed)
-        status = "ok" if self.ok else f"{len(self.failures)} FAILURES"
-        return (
-            f"follower crash matrix: {len(self.cases)} points "
-            f"({crashes} fired), {status}"
-        )
-
-
-def _follower_ddl(db: Database) -> None:
-    """Same secondary-index DDL E17's recovery path re-issues."""
-    db.create_hash_index("crash_docs", "docs_by_version", ("version",))
-    db.create_sorted_index("crash_docs", "docs_by_id", "doc_id")
-    db.create_sorted_index("crash_refs", "refs_by_id", "ref_id")
+__all__ = ["FollowerCrashScenario"]
 
 
 class _Cluster:
-    """A fresh primary + one follower, rebuilt per kill point."""
+    """A fresh primary + one follower, rebuilt per kill point.
+
+    With ``checkpoint`` the primary snapshots after half the workload,
+    opening a truncated journal, so a from-zero subscriber must take
+    the snapshot-download path.
+    """
 
     def __init__(
-        self, workdir: Path, *, txns: int, seed: int,
-        checkpoint_after: int | None = None,
+        self, workdir: Path, *, txns: int, seed: int, checkpoint: bool
     ) -> None:
         self.workdir = workdir
         workdir.mkdir(parents=True, exist_ok=True)
@@ -118,80 +75,143 @@ class _Cluster:
         for k in range(1, txns + 1):
             apply_workload_txn(self.db, k, rng)
             self.acked[self.journal.last_lsn] = database_state(self.db)
-            if checkpoint_after is not None and k == checkpoint_after:
-                # Opens a snapshot + truncated journal, so a from-zero
-                # subscriber must take the snapshot-download path.
+            if checkpoint and k == txns // 2:
                 self.db.snapshot(str(self.snapshot_path))
         self.shipper = WalShipper(
             self.network, "primary", self.journal,
             snapshot_path=self.snapshot_path,
         )
 
-    def state_at(self, lsn: int) -> dict[str, Any]:
-        """Primary acked state exactly at ``lsn`` (must be an ack point)."""
-        return self.acked[lsn]
-
     def follower(self, **wrappers: Any) -> Recoverer:
         return Recoverer(
             self.network, "follower", "primary", CRASH_SCHEMAS,
             self.workdir / "follower", sync_policy="commit",
-            ddl_fn=_follower_ddl, **wrappers,
+            ddl_fn=crash_ddl, **wrappers,
         )
 
 
-def _run_point(
-    cluster: _Cluster, offset: int, phase: str
-) -> FollowerCrashCase:
-    """Kill the follower at ``offset`` during ``phase``, restart, verify."""
-    if phase == "replay":
-        wrappers = {
-            "file_wrapper":
-                lambda fh, _o=offset: FailpointFile(fh, _o),
-        }
-    else:
-        wrappers = {
-            "snapshot_wrapper":
-                lambda fh, _o=offset: FailpointFile(fh, _o),
-        }
-    doomed = cluster.follower(**wrappers)
-    doomed.start()
-    crashed = False
-    try:
-        cluster.network.quiesce()
-    except SimulatedCrashError:
-        crashed = True
-    # The dead process stops receiving; drain whatever is still in
-    # flight (dropped on the floor, as for any down station).
-    cluster.network.set_down("follower", True)
-    cluster.network.quiesce()
+@dataclass
+class FollowerGolden:
+    """The crash-free primary runs every follower kill point is judged
+    against."""
 
-    # Cold restart over the same data directory, failpoint removed.
-    survivor = cluster.follower()
-    cluster.network.set_down("follower", False)
-    survivor.start()
+    #: primary acked state per LSN (0 is the empty initial state)
+    acked: dict[int, dict[str, Any]]
+    #: per target: the size of the stream a from-zero follower writes
+    sizes: dict[str, int]
+    #: per target: frame boundaries of that stream
+    boundaries: dict[str, list[int]]
 
+
+class FollowerCrashScenario:
+    """Kill a live follower at every point of its two write streams.
+
+    ``replay`` — the follower tails the primary from LSN 0; its journal
+    mirrors the primary's frame bytes, so the sweep covers the primary
+    journal's frame boundaries and every ``stride``-th byte.
+    ``snapshot`` — the primary is checkpointed after half the workload,
+    so a from-zero subscriber downloads a snapshot; the download stream
+    is killed at every ``snapshot_stride``-th byte.  Every point
+    asserts consistent-prefix recovery *and* full resume; a case's
+    ``outcome`` is the LSN the restarted follower recovered to.
+    """
+
+    name = "follower crash matrix"
+
+    def __init__(self, *, txns: int = 24, stride: int = 96,
+                 snapshot_stride: int = 1024, seed: int = 0) -> None:
+        self.txns = txns
+        self.stride = stride
+        self.snapshot_stride = snapshot_stride
+        self.seed = seed
+
+    def _cluster(self, workdir: Path, target: str) -> _Cluster:
+        return _Cluster(workdir, txns=self.txns, seed=self.seed,
+                        checkpoint=target == "snapshot")
+
+    def golden(self, workdir: Path) -> FollowerGolden:
+        replay = self._cluster(workdir / "replay", "replay")
+        replay.journal.close()
+        snapshot = self._cluster(workdir / "snapshot", "snapshot")
+        snapshot.journal.close()
+        return FollowerGolden(
+            acked=replay.acked,
+            sizes={
+                "replay": replay.journal.path.stat().st_size,
+                "snapshot": snapshot.snapshot_path.stat().st_size,
+            },
+            boundaries={
+                "replay": frame_boundaries(replay.journal.path),
+                "snapshot": [0],
+            },
+        )
+
+    def sweeps(self, golden: FollowerGolden) -> list[tuple]:
+        return [
+            ("replay", golden.sizes["replay"], golden.boundaries["replay"],
+             self.stride),
+            ("snapshot", golden.sizes["snapshot"],
+             golden.boundaries["snapshot"], self.snapshot_stride),
+        ]
+
+    def check(self, golden: FollowerGolden, target: str, offset: int,
+              casedir: Path) -> CrashCase:
+        """Kill the follower at ``offset`` of ``target``, restart,
+        verify.  Every file the case opens is closed on every path."""
+        cluster = self._cluster(casedir, target)
+        wrapper = "file_wrapper" if target == "replay" \
+            else "snapshot_wrapper"
+        doomed = cluster.follower(
+            **{wrapper: lambda fh: FailpointFile(fh, offset)}
+        )
+        survivor: Recoverer | None = None
+        try:
+            crashed = False
+            try:
+                doomed.start()
+                cluster.network.quiesce()
+            except SimulatedCrashError:
+                crashed = True
+            # The dead process stops receiving; drain whatever is still
+            # in flight (dropped on the floor, as for any down station).
+            cluster.network.set_down("follower", True)
+            cluster.network.quiesce()
+            # Its descriptors die with it; what it wrote stays on disk.
+            doomed.stop()
+
+            # Cold restart over the same data directory, failpoint removed.
+            survivor = cluster.follower()
+            cluster.network.set_down("follower", False)
+            survivor.start()
+            lsn = survivor.applied_lsn
+            detail = _audit(golden, cluster, survivor)
+            return CrashCase(target, offset, not detail, crashed, lsn,
+                             detail)
+        finally:
+            if survivor is not None:
+                survivor.stop()
+            cluster.journal.close()
+
+
+def _audit(
+    golden: FollowerGolden, cluster: _Cluster, survivor: Recoverer
+) -> str:
+    """Consistent prefix, then full resume; the first violation found,
+    or "" when the restarted follower passes both."""
     # Consistent prefix BEFORE any resumed traffic is applied: the
     # recovered LSN must be an acked transaction (or the snapshot
     # watermark) and the table state must match the primary's state at
     # exactly that LSN.
     lsn = survivor.applied_lsn
     assert survivor.db is not None
-    if lsn not in cluster.acked:
-        return FollowerCrashCase(
-            offset, phase, False, lsn, crashed,
-            f"recovered to LSN {lsn}, which the primary never acked",
-        )
-    if database_state(survivor.db) != cluster.state_at(lsn):
-        return FollowerCrashCase(
-            offset, phase, False, lsn, crashed,
-            "recovered state diverges from the primary's acked state "
-            f"at LSN {lsn}",
-        )
+    if lsn not in golden.acked:
+        return f"recovered to LSN {lsn}, which the primary never acked"
+    if database_state(survivor.db) != golden.acked[lsn]:
+        return ("recovered state diverges from the primary's acked "
+                f"state at LSN {lsn}")
     problems = verify_database(survivor.db)
     if problems:
-        return FollowerCrashCase(
-            offset, phase, False, lsn, crashed, "; ".join(problems)
-        )
+        return "; ".join(problems)
 
     # Resume: the re-subscription must carry the follower all the way
     # to the primary's horizon.
@@ -199,72 +219,8 @@ def _run_point(
     cluster.shipper.pump()
     cluster.network.quiesce()
     if survivor.applied_lsn != cluster.journal.last_lsn:
-        return FollowerCrashCase(
-            offset, phase, False, lsn, crashed,
-            f"resumed to LSN {survivor.applied_lsn}, primary is at "
-            f"{cluster.journal.last_lsn}",
-        )
+        return (f"resumed to LSN {survivor.applied_lsn}, primary is at "
+                f"{cluster.journal.last_lsn}")
     if database_state(survivor.db) != database_state(cluster.db):
-        return FollowerCrashCase(
-            offset, phase, False, lsn, crashed,
-            "caught-up state diverges from the primary",
-        )
-    survivor.stop()
-    return FollowerCrashCase(offset, phase, True, lsn, crashed)
-
-
-def run_follower_crash_matrix(
-    workdir: str | Path,
-    *,
-    txns: int = 24,
-    stride: int = 96,
-    snapshot_stride: int = 1024,
-    checkpoint_after: int | None = None,
-    seed: int = 0,
-) -> FollowerCrashReport:
-    """Kill-at-point sweep over a live follower's two write streams.
-
-    **Replay sweep** — the follower tails the primary from LSN 0; its
-    journal write stream is killed at every ``stride``-th byte (plus
-    the no-crash control at EOF).  **Snapshot sweep** — the primary is
-    checkpointed after ``checkpoint_after`` transactions (defaults to
-    ``txns // 2``) so a from-zero subscriber must download a snapshot;
-    the download stream is killed at every ``snapshot_stride``-th byte.
-
-    Every point asserts consistent-prefix recovery *and* full resume;
-    see :class:`FollowerCrashCase` for the per-point verdicts.
-    """
-    workdir = Path(workdir)
-    report = FollowerCrashReport()
-    if checkpoint_after is None:
-        checkpoint_after = txns // 2
-
-    # Sizing probe: the follower's journal mirrors the primary's frame
-    # bytes, so the primary journal's size bounds the replay sweep.
-    probe = _Cluster(workdir / "probe", txns=txns, seed=seed)
-    replay_size = probe.journal.tell()
-    probe.journal.close()
-
-    for offset in [*range(1, replay_size, max(1, stride)), replay_size]:
-        cluster = _Cluster(
-            workdir / f"replay-{offset}", txns=txns, seed=seed
-        )
-        report.cases.append(_run_point(cluster, offset, "replay"))
-        cluster.journal.close()
-
-    snap_probe = _Cluster(
-        workdir / "snap-probe", txns=txns, seed=seed,
-        checkpoint_after=checkpoint_after,
-    )
-    snapshot_size = snap_probe.snapshot_path.stat().st_size
-    snap_probe.journal.close()
-
-    for offset in [*range(1, snapshot_size, max(1, snapshot_stride)),
-                   snapshot_size]:
-        cluster = _Cluster(
-            workdir / f"snap-{offset}", txns=txns, seed=seed,
-            checkpoint_after=checkpoint_after,
-        )
-        report.cases.append(_run_point(cluster, offset, "snapshot"))
-        cluster.journal.close()
-    return report
+        return "caught-up state diverges from the primary"
+    return ""

@@ -33,11 +33,7 @@ from repro.sharding.coordinator import (
     TwoPhaseCoordinator,
     TwoPhaseAborted,
 )
-from repro.sharding.crash2pc import (
-    TwoPCCrashCase,
-    TwoPCCrashReport,
-    run_2pc_crash_matrix,
-)
+from repro.sharding.crash2pc import TwoPCCrashScenario
 from repro.sharding.participant import (
     ShardParticipant,
     TwoPhaseError,
@@ -54,7 +50,5 @@ __all__ = [
     "TwoPhaseCoordinator",
     "TwoPhaseAborted",
     "ShardCluster",
-    "TwoPCCrashCase",
-    "TwoPCCrashReport",
-    "run_2pc_crash_matrix",
+    "TwoPCCrashScenario",
 ]

@@ -21,7 +21,9 @@ which together mean the recovered cluster state equals the golden
 state after the last acked transaction, or that state plus the whole
 in-flight transaction — nothing else.  Every shard must also pass the
 full :func:`~repro.fault.crashsim.verify_database` audit (constraints,
-secondary indexes) after recovery.
+secondary indexes) after recovery.  :class:`TwoPCCrashScenario` is the
+scenario; the sweep runs through the shared engine,
+:func:`~repro.fault.crashsim.run_crash_matrix`.
 
 The workload is conflict-free by construction (fresh doc ids come from
 per-shard pools probed out of the shard map), so in the golden run
@@ -33,30 +35,28 @@ keys stay meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from repro.fault.crashsim import (
     CRASH_SCHEMAS,
+    CrashCase,
     FailpointFile,
     SimulatedCrashError,
-    crash_points,
     database_state,
+    frame_boundaries,
     verify_database,
 )
 from repro.rdb.errors import RdbError
-from repro.rdb.wal import read_frames
 from repro.sharding.cluster import COORD, ShardCluster
 from repro.sharding.shardmap import ShardMap, TableSharding
 from repro.util.rng import make_rng
 
 __all__ = [
-    "TwoPCCrashCase",
-    "TwoPCCrashReport",
+    "TwoPCCrashScenario",
     "build_2pc_workload",
     "run_2pc_golden",
-    "run_2pc_crash_matrix",
     "twopc_shard_map",
 ]
 
@@ -189,16 +189,6 @@ def cluster_state(cluster: ShardCluster) -> ClusterState:
     }
 
 
-def _frame_boundaries(path: Path) -> list[int]:
-    """Byte offsets of frame ends (0 plus each cumulative frame end)."""
-    bounds = [0]
-    position = 0
-    for frame in read_frames(path):
-        position += len(frame.data)
-        bounds.append(position)
-    return bounds
-
-
 def run_2pc_golden(
     workdir: str | Path,
     shard_map: ShardMap,
@@ -227,7 +217,7 @@ def run_2pc_golden(
     for node in nodes:
         path = cluster.coord_journal_path() if node == COORD \
             else cluster.shard_journal_path(node)
-        boundaries[node] = _frame_boundaries(path)
+        boundaries[node] = frame_boundaries(path)
         sizes[node] = path.stat().st_size if path.exists() else 0
     return TwoPCGolden(
         shard_map=shard_map, workload=workload, states=states,
@@ -236,158 +226,106 @@ def run_2pc_golden(
 
 
 # ---------------------------------------------------------------------------
-# The matrix
+# The scenario
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class TwoPCCrashCase:
-    """One (node, byte offset) kill point's outcome."""
+class TwoPCCrashScenario:
+    """Kill the coordinator or any shard at any byte of its journal.
 
-    target: Any  # shard id, or COORD
-    offset: int
-    ok: bool
-    #: whether the failpoint actually fired (EOF offsets are controls)
-    crashed: bool = False
-    #: number of transactions acknowledged before the run stopped
-    acked: int = 0
-    #: which golden state the recovered cluster matched ("last-acked",
-    #: "in-flight", "complete", or "" on failure)
-    matched: str = ""
-    detail: str = ""
-
-
-@dataclass
-class TwoPCCrashReport:
-    """Aggregated results of one 2PC kill-at-point sweep."""
-
-    cases: list[TwoPCCrashCase] = field(default_factory=list)
-
-    @property
-    def failures(self) -> list[TwoPCCrashCase]:
-        return [c for c in self.cases if not c.ok]
-
-    @property
-    def ok(self) -> bool:
-        """True when every kill point recovered all-or-nothing."""
-        return not self.failures
-
-    def summary(self) -> str:
-        """One-line human summary."""
-        fired = sum(1 for c in self.cases if c.crashed)
-        status = "ok" if self.ok else f"{len(self.failures)} FAILURES"
-        return (
-            f"2pc crash matrix: {len(self.cases)} points "
-            f"({fired} fired), {status}"
-        )
-
-
-def _run_crash_case(
-    casedir: Path,
-    golden: TwoPCGolden,
-    *,
-    target: Any,
-    offset: int,
-) -> TwoPCCrashCase:
-    """Replay the workload with one node armed to die at ``offset``,
-    then recover the whole cluster and audit atomicity."""
-    wrapper = lambda fh: FailpointFile(fh, offset)  # noqa: E731
-    cluster = ShardCluster(
-        casedir, CRASH_SCHEMAS, golden.shard_map.num_shards,
-        sync="commit", use_net=False, file_wrappers={target: wrapper},
-    )
-    sharded = _sharded(golden.shard_map, cluster)
-    acked = 0
-    crashed = False
-    try:
-        for stmts in golden.workload:
-            sharded.transact(stmts)
-            acked += 1
-    except (SimulatedCrashError, RdbError):
-        # First failure of any kind ends the run: either the armed
-        # journal died mid-append, or a transaction was refused/aborted
-        # because an earlier crash left its shard dead or blocked.
-        # Either way every transaction before this one was acked.
-        crashed = True
-
-    try:
-        cluster.recover_all()
-    except Exception as exc:  # recovery itself must never fail
-        cluster.close()
-        return TwoPCCrashCase(
-            target=target, offset=offset, ok=False, crashed=crashed,
-            acked=acked, detail=f"recovery raised {exc!r}",
-        )
-
-    recovered = cluster_state(cluster)
-    problems: list[str] = []
-    for shard_id, participant in cluster.participants.items():
-        problems += [
-            f"shard {shard_id}: {p}"
-            for p in verify_database(participant.db)
-        ]
-        if participant.in_doubt:
-            problems.append(
-                f"shard {shard_id}: still in doubt after recovery: "
-                f"{sorted(participant.in_doubt)}"
-            )
-    cluster.close()
-
-    # All-or-nothing: the recovered cluster must equal the golden state
-    # after the last acked transaction, or that state plus the whole
-    # in-flight transaction.  A split commit matches neither.
-    matched = ""
-    if recovered == golden.states[acked]:
-        matched = "complete" if acked == len(golden.workload) \
-            else "last-acked"
-    elif acked < len(golden.workload) \
-            and recovered == golden.states[acked + 1]:
-        matched = "in-flight"
-    else:
-        problems.append(
-            f"recovered state matches neither golden[{acked}] nor "
-            f"golden[{acked + 1}] (split or lost write)"
-        )
-    if not crashed and acked != len(golden.workload):
-        problems.append(
-            f"run stopped at txn {acked + 1} without a crash"
-        )
-
-    return TwoPCCrashCase(
-        target=target, offset=offset, ok=not problems, crashed=crashed,
-        acked=acked, matched=matched, detail="; ".join(problems),
-    )
-
-
-def run_2pc_crash_matrix(
-    workdir: str | Path,
-    *,
-    num_shards: int = 2,
-    txns: int = 12,
-    stride: int = 64,
-    seed: int = 0,
-) -> TwoPCCrashReport:
-    """Sweep every node's journal with kill points and audit each one.
-
-    For each target node — the coordinator and every shard — the sweep
-    covers every frame boundary of that node's golden journal plus
-    every ``stride``-byte offset, including the end-of-file no-crash
-    control point.
+    One sweep per node — the coordinator and every shard — over every
+    frame boundary of that node's golden journal plus every
+    ``stride``-byte offset, including the end-of-file no-crash control.
+    A case's ``outcome`` names the golden state the recovered cluster
+    matched: ``"last-acked"``, ``"in-flight"``, ``"complete"``, or
+    ``""`` on failure.
     """
-    workdir = Path(workdir)
-    shard_map = twopc_shard_map(num_shards)
-    golden = run_2pc_golden(
-        workdir / "golden", shard_map, txns=txns, seed=seed
-    )
-    report = TwoPCCrashReport()
-    case_number = 0
-    for target in [COORD, *range(num_shards)]:
-        points = crash_points(
-            golden.sizes[target], golden.boundaries[target],
-            stride=stride,
+
+    name = "2pc crash matrix"
+
+    def __init__(self, *, num_shards: int = 2, txns: int = 12,
+                 stride: int = 64, seed: int = 0) -> None:
+        self.num_shards = num_shards
+        self.txns = txns
+        self.stride = stride
+        self.seed = seed
+
+    def golden(self, workdir: Path) -> TwoPCGolden:
+        return run_2pc_golden(
+            workdir, twopc_shard_map(self.num_shards), txns=self.txns,
+            seed=self.seed,
         )
-        for offset in points:
-            case_number += 1
-            report.cases.append(_run_crash_case(
-                workdir / f"case-{case_number:04d}", golden,
-                target=target, offset=offset,
-            ))
-    return report
+
+    def sweeps(self, golden: TwoPCGolden) -> list[tuple]:
+        return [
+            (node, golden.sizes[node], golden.boundaries[node], self.stride)
+            for node in [COORD, *range(self.num_shards)]
+        ]
+
+    def check(self, golden: TwoPCGolden, target: Any, offset: int,
+              casedir: Path) -> CrashCase:
+        """Replay the workload with ``target`` armed to die at
+        ``offset``, then recover the whole cluster and audit
+        atomicity."""
+        wrapper = lambda fh: FailpointFile(fh, offset)  # noqa: E731
+        cluster = ShardCluster(
+            casedir, CRASH_SCHEMAS, golden.shard_map.num_shards,
+            sync="commit", use_net=False, file_wrappers={target: wrapper},
+        )
+        sharded = _sharded(golden.shard_map, cluster)
+        acked = 0
+        crashed = False
+        try:
+            for stmts in golden.workload:
+                sharded.transact(stmts)
+                acked += 1
+        except (SimulatedCrashError, RdbError):
+            # First failure of any kind ends the run: either the armed
+            # journal died mid-append, or a transaction was
+            # refused/aborted because an earlier crash left its shard
+            # dead or blocked.  Either way every transaction before
+            # this one was acked.
+            crashed = True
+
+        try:
+            cluster.recover_all()
+        except Exception as exc:  # recovery itself must never fail
+            cluster.close()
+            return CrashCase(
+                target, offset, False, crashed, "",
+                f"recovery raised {exc!r} after {acked} acked txns",
+            )
+
+        recovered = cluster_state(cluster)
+        problems: list[str] = []
+        for shard_id, participant in cluster.participants.items():
+            problems += [
+                f"shard {shard_id}: {p}"
+                for p in verify_database(participant.db)
+            ]
+            if participant.in_doubt:
+                problems.append(
+                    f"shard {shard_id}: still in doubt after recovery: "
+                    f"{sorted(participant.in_doubt)}"
+                )
+        cluster.close()
+
+        # All-or-nothing: the recovered cluster must equal the golden
+        # state after the last acked transaction, or that state plus the
+        # whole in-flight transaction.  A split commit matches neither.
+        matched = ""
+        if recovered == golden.states[acked]:
+            matched = "complete" if acked == len(golden.workload) \
+                else "last-acked"
+        elif acked < len(golden.workload) \
+                and recovered == golden.states[acked + 1]:
+            matched = "in-flight"
+        else:
+            problems.append(
+                f"recovered state matches neither golden[{acked}] nor "
+                f"golden[{acked + 1}] (split or lost write)"
+            )
+        if not crashed and acked != len(golden.workload):
+            problems.append(
+                f"run stopped at txn {acked + 1} without a crash"
+            )
+        return CrashCase(target, offset, not problems, crashed, matched,
+                         "; ".join(problems))

@@ -7,13 +7,13 @@ import pytest
 from repro.fault.crashsim import (
     CRASH_SCHEMAS,
     FailpointFile,
+    JournalCrashScenario,
     SimulatedCrashError,
     build_crash_db,
     crash_points,
     database_state,
-    iter_live_crashes,
+    frame_boundaries,
     recover_crash_db,
-    report_as_json,
     run_crash_matrix,
     run_crash_workload,
     verify_database,
@@ -99,6 +99,11 @@ class TestWorkload:
             workload.acks[1].state
         assert workload.state_at(0) == {"crash_docs": {}, "crash_refs": {}}
 
+    def test_one_frame_per_acked_txn(self, tmp_path):
+        workload = run_crash_workload(tmp_path, txns=10, seed=1)
+        assert frame_boundaries(workload.journal_path) == \
+            workload.boundaries()
+
     def test_final_state_verifies_clean(self, tmp_path):
         workload = run_crash_workload(tmp_path, txns=10, seed=2)
         db = recover_crash_db(workload.journal_path)
@@ -148,15 +153,21 @@ class TestCrashPoints:
     def test_out_of_range_boundaries_dropped(self):
         assert 500 not in crash_points(300, [500], stride=1000)
 
+    def test_frame_boundaries_of_missing_journal(self, tmp_path):
+        assert frame_boundaries(tmp_path / "absent.wal") == [0]
+
 
 class TestLiveCrashes:
     def test_committed_prefix_after_live_crash(self, tmp_path):
         golden = run_crash_workload(tmp_path / "g", txns=8, seed=4)
         offsets = [0, len(golden.data) // 3, golden.acks[3].end_offset]
-        for offset, acked, db in iter_live_crashes(
-            tmp_path / "live", offsets, txns=8, seed=4
-        ):
-            durable = [a for a in acked if a.end_offset <= offset]
+        for offset in offsets:
+            live = run_crash_workload(
+                tmp_path / f"live-{offset}", txns=8, seed=4,
+                crash_at=offset,
+            )
+            db = recover_crash_db(live.journal_path)
+            durable = [a for a in live.acks if a.end_offset <= offset]
             expected = (
                 durable[-1].state if durable
                 else {s.name: {} for s in CRASH_SCHEMAS}
@@ -169,36 +180,62 @@ class TestLiveCrashes:
         must be fully recovered (the paper's durability promise)."""
         golden = run_crash_workload(tmp_path / "g", txns=8, seed=9)
         offset = golden.acks[5].end_offset + 10  # mid-record 7
-        for _, acked, db in iter_live_crashes(
-            tmp_path / "live", [offset], txns=8, seed=9
-        ):
-            assert len(acked) == 6
-            assert database_state(db) == acked[-1].state
+        live = run_crash_workload(
+            tmp_path / "live", txns=8, seed=9, crash_at=offset
+        )
+        db = recover_crash_db(live.journal_path)
+        assert len(live.acks) == 6
+        assert database_state(db) == live.acks[-1].state
 
 
 class TestCrashMatrix:
     def test_matrix_holds_committed_prefix_guarantee(self, tmp_path):
-        report = run_crash_matrix(tmp_path, txns=14, stride=48, seed=0)
+        report = run_crash_matrix(
+            JournalCrashScenario(txns=14, stride=48, seed=0), tmp_path
+        )
         assert report.ok, report.failures[:3]
-        assert report.points_tested > 100
-        assert report.torn_tails > 0  # mid-record truncations occurred
-        assert report.corruption_detected > 0  # garble sweep ran
+        assert len(report.cases) > 100
+        # mid-record truncations occurred
+        assert report.counters["torn_tails"] > 0
+        # garble sweep ran
+        assert report.counters["corruptions_detected"] > 0
 
     def test_matrix_every_byte_small(self, tmp_path):
         """Exhaustive stride-1 sweep on a small workload."""
-        report = run_crash_matrix(tmp_path, txns=3, stride=1, seed=11)
+        report = run_crash_matrix(
+            JournalCrashScenario(txns=3, stride=1, seed=11), tmp_path
+        )
         assert report.ok, report.failures[:3]
 
     def test_report_serializes(self, tmp_path):
         import json
 
         report = run_crash_matrix(
-            tmp_path, txns=3, stride=200, garble=False, seed=1
+            JournalCrashScenario(txns=3, stride=200, seed=1), tmp_path
         )
-        payload = json.loads(report_as_json(report))
+        payload = json.loads(report.to_json())
         assert payload["ok"] is True
-        assert payload["points_tested"] == report.points_tested
+        assert payload["points"] == len(report.cases)
         assert "ok" in report.summary()
+
+    def test_planted_wrong_ledger_is_reported(self, tmp_path):
+        """The audit can fail: a golden state missing one row makes
+        every truncation that recovers to it a violation."""
+
+        class Planted(JournalCrashScenario):
+            def golden(self, workdir):
+                workload = super().golden(workdir)
+                docs = workload.acks[-1].state["crash_docs"]
+                docs.pop(next(iter(docs)))
+                return workload
+
+        report = run_crash_matrix(
+            Planted(txns=4, stride=256, seed=0), tmp_path
+        )
+        assert not report.ok
+        assert {c.target for c in report.failures} == {"truncate"}
+        assert all("committed-prefix violation" in c.detail
+                   for c in report.failures)
 
 
 class TestSalvageSemantics:

@@ -12,7 +12,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fault.crashsim import CRASH_SCHEMAS, apply_workload_txn, build_crash_db
+from repro.fault.crashsim import (
+    CRASH_SCHEMAS,
+    apply_workload_txn,
+    build_crash_db,
+    crash_ddl,
+)
 from repro.net.sim import Simulator
 from repro.net.station import Station
 from repro.net.transport import Network
@@ -21,18 +26,11 @@ from repro.replication import Recoverer, WalShipper
 from repro.util.rng import make_rng
 
 
-def replication_ddl(db):
-    """The workload's secondary-index DDL every follower re-issues."""
-    db.create_hash_index("crash_docs", "docs_by_version", ("version",))
-    db.create_sorted_index("crash_docs", "docs_by_id", "doc_id")
-    db.create_sorted_index("crash_refs", "refs_by_id", "ref_id")
-
-
 class ReplCluster:
     """One primary plus named followers over a fresh network."""
 
     #: exposed so tests rebuilding a follower use the exact same DDL
-    ddl = staticmethod(replication_ddl)
+    ddl = staticmethod(crash_ddl)
 
     def __init__(self, tmp_path, followers=("f1",)):
         self.tmp = tmp_path
@@ -57,7 +55,7 @@ class ReplCluster:
         self.network.add(Station(name))
         recoverer = Recoverer(
             self.network, name, "primary", CRASH_SCHEMAS,
-            self.tmp / name, sync_policy="commit", ddl_fn=replication_ddl,
+            self.tmp / name, sync_policy="commit", ddl_fn=crash_ddl,
         )
         self.recoverers[name] = recoverer
         return recoverer

@@ -3,9 +3,10 @@ place to die."""
 
 from __future__ import annotations
 
+from repro.fault.crashsim import run_crash_matrix
 from repro.sharding.crash2pc import (
+    TwoPCCrashScenario,
     build_2pc_workload,
-    run_2pc_crash_matrix,
     run_2pc_golden,
     twopc_shard_map,
 )
@@ -43,8 +44,8 @@ class TestGolden:
 
 class TestMatrix:
     def test_every_kill_point_recovers_all_or_nothing(self, tmp_path):
-        report = run_2pc_crash_matrix(
-            tmp_path, num_shards=2, txns=8, stride=160
+        report = run_crash_matrix(
+            TwoPCCrashScenario(num_shards=2, txns=8, stride=160), tmp_path
         )
         assert report.cases, "matrix ran no cases"
         assert report.ok, "\n".join(
@@ -54,23 +55,41 @@ class TestMatrix:
         fired = [c for c in report.cases if c.crashed]
         assert fired, "no failpoint ever fired"
         # Both sides of the commit point appear across the sweep.
-        assert {c.matched for c in report.cases} >= \
+        assert {c.outcome for c in report.cases} >= \
             {"last-acked", "complete"}
 
     def test_eof_controls_complete_cleanly(self, tmp_path):
-        report = run_2pc_crash_matrix(
-            tmp_path, num_shards=2, txns=4, stride=4096
+        report = run_crash_matrix(
+            TwoPCCrashScenario(num_shards=2, txns=4, stride=4096), tmp_path
         )
         controls = [c for c in report.cases if not c.crashed]
         assert controls
         for case in controls:
-            assert case.matched == "complete", case
+            assert case.outcome == "complete", case
 
     def test_summary_reports_counts(self, tmp_path):
-        report = run_2pc_crash_matrix(
-            tmp_path, num_shards=2, txns=3, stride=4096
+        report = run_crash_matrix(
+            TwoPCCrashScenario(num_shards=2, txns=3, stride=4096), tmp_path
         )
         text = report.summary()
         assert "2pc crash matrix" in text
         assert str(len(report.cases)) in text
         assert "ok" in text
+
+    def test_planted_wrong_ledger_is_reported(self, tmp_path):
+        """The audit can fail: drop one row from the golden cluster
+        state after the last transaction, where every control lands."""
+
+        class Planted(TwoPCCrashScenario):
+            def golden(self, workdir):
+                golden = super().golden(workdir)
+                docs = golden.states[-1][0]["crash_docs"]
+                docs.pop(next(iter(docs)))
+                return golden
+
+        report = run_crash_matrix(
+            Planted(num_shards=2, txns=4, stride=4096), tmp_path
+        )
+        assert not report.ok
+        assert all("matches neither" in c.detail for c in report.failures)
+        assert all(c.outcome == "" for c in report.failures)
