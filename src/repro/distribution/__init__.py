@@ -15,6 +15,10 @@
 * :mod:`repro.distribution.adaptive` — selection of ``m`` per media type
   from station count and bandwidth ("adaptive to changing network
   conditions").
+
+Document-layer metadata rows reach every member over the same m-ary
+tree, but as the master's WAL frames: see
+:class:`repro.replication.tree.TreeRelay`.
 """
 
 from repro.distribution.mtree import MAryTree
@@ -32,7 +36,6 @@ from repro.distribution.vector import (
     ReferenceBroadcaster,
     VectorEntry,
 )
-from repro.distribution.syncdb import MetadataReplicator, ReplicationLog
 from repro.distribution.coursepkg import (
     CoursePackage,
     CourseShipper,
@@ -45,8 +48,6 @@ __all__ = [
     "CourseShipper",
     "install_package",
     "package_course",
-    "MetadataReplicator",
-    "ReplicationLog",
     "BroadcastVector",
     "ReferenceBroadcaster",
     "VectorEntry",

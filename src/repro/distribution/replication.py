@@ -15,12 +15,12 @@ lecture-duration after each presentation, and maintains the broadcast
 vector of references ("References to the instance are broadcasted and
 stored in many remote stations").
 
-Not to be confused with the repo's two other replication layers: this
-module replicates *course-document BLOBs* onto stations;
-:mod:`repro.replication` replicates the class administrator's
-*relational database* by WAL shipping (read replicas + failover); and
-:mod:`repro.distribution.syncdb` replicates *document-layer metadata
-rows* via operation logs.  See DESIGN.md §11 for the comparison table.
+Not to be confused with :mod:`repro.replication`, which ships WAL
+frames of *relational databases*: the class administrator's (read
+replicas + failover) and the document layer's metadata rows down the
+m-ary member tree (:mod:`repro.replication.tree`).  This module
+replicates *course-document BLOBs* onto stations.  See DESIGN.md §11
+for the comparison table.
 """
 
 from __future__ import annotations

@@ -12,11 +12,11 @@ Two recovery paths, matching the two kinds of state a crash loses:
   re-checks with backoff in case redelivery itself hits a lossy link.
 
 * **Document-layer metadata** (the replicated relational rows): a
-  station that crashed and restarted rebuilds its local engine from its
-  WAL snapshot + journal (:meth:`repro.rdb.Database.recover`) and then
-  asks the master for a :meth:`~repro.distribution.syncdb.MetadataReplicator.repair`
-  batch — the catch-up delta covering everything committed while it was
-  dark.  :class:`RecoveryManager.rejoin` drives the whole sequence and
+  station that crashed and restarted is restarted through
+  :meth:`~repro.replication.tree.TreeRelay.restart` — it recovers its
+  engine from its own snapshot + journal, then resubscribes to its
+  tree parent for the frames committed while it was dark.
+  :class:`RecoveryManager.rejoin` drives the whole sequence and
   re-enters the station into the broadcast vector at the tail (the
   paper's linear join order).
 """
@@ -24,15 +24,17 @@ Two recovery paths, matching the two kinds of state a crash loses:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.distribution.broadcast import PreBroadcaster
 from repro.distribution.mtree import MAryTree
-from repro.distribution.syncdb import MetadataReplicator
 from repro.distribution.vector import BroadcastVector
 from repro.fault.policy import RetryPolicy
 from repro.net.transport import Network
 from repro.obs.instrument import OBS
-from repro.rdb import Database, Schema
+
+if TYPE_CHECKING:
+    from repro.replication.tree import TreeRelay
 
 __all__ = ["RedeliveryReport", "RedeliveryService", "RejoinReport",
            "RecoveryManager"]
@@ -186,10 +188,10 @@ class RejoinReport:
     rejoined_at: float
     #: 1-based position re-assigned in the broadcast vector
     position: int
-    #: rows restored locally from the WAL snapshot + journal replay
+    #: rows restored locally from the station's snapshot + journal
     restored_rows: int
-    #: operations in the syncdb catch-up delta shipped by the master
-    delta_ops: int
+    #: frames the station still lacked when it resubscribed
+    delta_frames: int
 
 
 class RecoveryManager:
@@ -198,8 +200,9 @@ class RecoveryManager:
     Wires together the three layers a rejoin touches: the network (the
     station must be revived), the broadcast vector (membership, at the
     tail), and — when the deployment replicates document-layer metadata
-    — the station's local relational engine, rebuilt from its own WAL
-    and topped up with a catch-up delta from the master.
+    through a :class:`~repro.replication.tree.TreeRelay` — the
+    station's local relational engine, rebuilt from its own directory
+    and caught up from its tree parent.
     """
 
     def __init__(
@@ -207,28 +210,15 @@ class RecoveryManager:
         network: Network,
         vector: BroadcastVector,
         *,
-        replicator: MetadataReplicator | None = None,
+        relay: "TreeRelay | None" = None,
     ) -> None:
         self.network = network
         self.vector = vector
-        self.replicator = replicator
+        self.relay = relay
         self.rejoins: list[RejoinReport] = []
 
-    def rejoin(
-        self,
-        station: str,
-        *,
-        schemas: "list[Schema] | None" = None,
-        snapshot_path: str | None = None,
-        journal_path: str | None = None,
-    ) -> RejoinReport:
-        """Revive ``station`` and restore its membership and metadata.
-
-        With ``schemas`` (plus snapshot/journal paths) the station's
-        replica engine is rebuilt by WAL replay before the catch-up
-        delta ships; without them the existing replica object is reused
-        and only the delta ships.
-        """
+    def rejoin(self, station: str) -> RejoinReport:
+        """Revive ``station`` and restore its membership and metadata."""
         self.network.station(station)  # raise early on unknown
         if self.network.is_down(station):
             self.network.set_down(station, False)
@@ -238,28 +228,21 @@ class RecoveryManager:
             position = self.vector.join(station)
 
         restored_rows = 0
-        delta_ops = 0
-        if self.replicator is not None:
-            if schemas is not None:
-                rebuilt = Database.recover(
-                    station,
-                    schemas,
-                    snapshot_path=snapshot_path,
-                    journal_path=journal_path,
-                )
-                restored_rows = sum(
-                    rebuilt.count(name) for name in rebuilt.table_names()
-                )
-                self.replicator.replicas[station] = rebuilt
-            batch = self.replicator.repair(station)
-            delta_ops = len(batch.ops)
+        delta_frames = 0
+        if self.relay is not None:
+            follower = self.relay.restart(station)
+            assert follower.db is not None
+            restored_rows = sum(
+                follower.db.count(name) for name in follower.db.table_names()
+            )
+            delta_frames = self.relay.lag(station)
 
         report = RejoinReport(
             station=station,
             rejoined_at=self.network.sim.now,
             position=position,
             restored_rows=restored_rows,
-            delta_ops=delta_ops,
+            delta_frames=delta_frames,
         )
         self.rejoins.append(report)
         if OBS.enabled:

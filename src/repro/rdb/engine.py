@@ -99,6 +99,11 @@ class Database:
         """Sorted names of all tables."""
         return self._catalog.names()
 
+    def schemas(self) -> list[Schema]:
+        """Every table's schema in creation order: parents before the
+        tables whose foreign keys name them, as :meth:`recover` needs."""
+        return [table.schema for table in self._catalog.tables.values()]
+
     def table(self, name: str) -> Table:
         """Access the underlying table object (tests, planners)."""
         return self._catalog.get(name)

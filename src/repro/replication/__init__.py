@@ -22,24 +22,28 @@ middle tier into a replicated one:
 * :mod:`~repro.replication.chaos` — the E17 crash harness extended to
   followers: kill a follower at arbitrary byte offsets during snapshot
   download or frame replay and prove it recovers to a consistent
-  prefix and resumes.
+  prefix and resumes;
+* :class:`~repro.replication.tree.TreeRelay` — the same shipper and
+  recoverer relayed down the m-ary member tree: the document layer's
+  master journals, every member follows its tree parent, and every
+  interior member ships its own journal on to its children (E11).
 
 Read routing lives one layer up, in
 :class:`repro.tiers.replicaset.ReplicaSet`, which sends library search
 and catalog reads to caught-up replicas while writes stay on the
 primary.
 
-Naming note — three kinds of "replication" coexist in this repo, one
-per layer:
+Naming note — three kinds of "replication" coexist in this repo, with
+two mechanisms:
 
 * **this package** replicates the *relational database* of a class
   administrator (WAL shipping; read scaling and failover);
+* :mod:`repro.replication.tree` replicates *document-layer metadata
+  rows* fleet-wide with the same WAL frames, relayed down the m-ary
+  tree (E11's convergence between stations);
 * :mod:`repro.distribution.replication` replicates *course-document
   BLOBs* onto stations (the paper's instance/reference forms and
-  buffer-space migration);
-* :mod:`repro.distribution.syncdb` replicates *document-layer
-  metadata rows* fleet-wide via operation logs with vector clocks
-  (E11's eventual consistency between stations).
+  buffer-space migration).
 
 See DESIGN.md §11 for the architecture and the failover protocol.
 """
@@ -48,6 +52,7 @@ from repro.replication.shipper import FollowerProgress, WalShipper
 from repro.replication.recoverer import Recoverer, RecoveryStage
 from repro.replication.failover import FailoverCoordinator, FailoverReport
 from repro.replication.chaos import FollowerCrashScenario
+from repro.replication.tree import TreeRelay
 
 __all__ = [
     "WalShipper",
@@ -57,4 +62,5 @@ __all__ = [
     "FailoverCoordinator",
     "FailoverReport",
     "FollowerCrashScenario",
+    "TreeRelay",
 ]

@@ -291,10 +291,11 @@ class WalShipper:
                 # reconciled; leave it subscribed but quiescent.
                 progress.stage = "diverged"
                 return
+        # A subscription states where the follower's disk is now: trust
+        # it even below an earlier report (a follower that lost its
+        # directory restarts from zero).
         progress.shipped_lsn = min(sub.applied_lsn, self.journal.last_lsn)
-        progress.applied_lsn = min(
-            max(progress.applied_lsn, sub.applied_lsn), self.journal.last_lsn
-        )
+        progress.applied_lsn = progress.shipped_lsn
         if self._push_frames(progress) == 0:
             # Nothing to stream: answer with an empty batch anyway so the
             # subscriber learns the horizon and can report caught-up.

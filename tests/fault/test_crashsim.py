@@ -23,9 +23,17 @@ from repro.rdb.wal import Journal
 
 
 class TestFailpointFile:
+    @pytest.fixture(autouse=True)
+    def _close_wrapped(self):
+        self._handles = []
+        yield
+        for fh in self._handles:
+            fh.close()
+
     def _wrap(self, tmp_path, crash_at, mode="truncate"):
         path = tmp_path / "out.bin"
         fh = path.open("wb")
+        self._handles.append(fh)
         return path, FailpointFile(fh, crash_at, mode=mode)
 
     def test_writes_below_failpoint_pass_through(self, tmp_path):
@@ -264,6 +272,7 @@ class TestSalvageSemantics:
         with pytest.raises(SimulatedCrashError):
             for k in range(1, 10):
                 db.insert("crash_docs", {"doc_id": k, "title": f"t{k}"})
+        journal.close()  # the dead process's descriptor
         recovered = Database.recover(
             "crashdb", CRASH_SCHEMAS, journal_path=str(path)
         )

@@ -1,8 +1,10 @@
 """Tests for broadcast redelivery and crashed-station rejoin."""
 
+import shutil
+
 import pytest
 
-from repro.distribution import MAryTree, MetadataReplicator, PreBroadcaster
+from repro.distribution import PreBroadcaster
 from repro.distribution.vector import BroadcastVector
 from repro.fault import (
     FailureDetector,
@@ -13,7 +15,9 @@ from repro.fault import (
     RetryPolicy,
     TreeRepairer,
 )
+from repro.fault.crashsim import database_state
 from repro.rdb import Column, ColumnType, Database, Schema
+from repro.replication import TreeRelay
 
 from tests.conftest import build_network
 
@@ -140,83 +144,87 @@ class TestRedelivery:
 
 
 class TestRejoin:
-    def _world(self, n=3, m=2):
-        network, vector, tree = _cluster(n, m)
+    @pytest.fixture
+    def world(self, tmp_path):
+        network, vector, tree = _cluster(3, 2)
         master = Database("master")
         master.create_table(DOCS)
-        replicas = {}
-        for name in tree.names[1:]:
-            replica = Database(f"replica_{name}")
-            replica.create_table(DOCS)
-            replicas[name] = replica
-        replicator = MetadataReplicator(network, tree, master, replicas)
-        return network, vector, master, replicas, replicator
+        relay = TreeRelay(network, tree, master, tmp_path)
+        network.quiesce()
+        yield network, vector, master, relay
+        relay.close()
 
-    def test_rejoin_revives_and_keeps_position(self):
-        network, vector, *_ = self._world()
+    def test_rejoin_revives_and_keeps_position(self, world):
+        network, vector, *_ = world
         network.set_down("s2", True)
         manager = RecoveryManager(network, vector)
         report = manager.rejoin("s2")
         assert not network.is_down("s2")
         assert report.position == 2
-        assert report.restored_rows == 0 and report.delta_ops == 0
+        assert report.restored_rows == 0 and report.delta_frames == 0
 
-    def test_rejoin_after_eviction_joins_at_tail(self):
-        network, vector, *_ = self._world()
+    def test_rejoin_after_eviction_joins_at_tail(self, world):
+        network, vector, *_ = world
         vector.leave("s2")
         manager = RecoveryManager(network, vector)
         report = manager.rejoin("s2")
         assert report.position == 3
         assert vector.members() == ["s1", "s3", "s2"]
 
-    def test_rejoin_unknown_station_raises(self):
-        network, vector, *_ = self._world()
+    def test_rejoin_unknown_station_raises(self, world):
+        network, vector, *_ = world
         manager = RecoveryManager(network, vector)
         with pytest.raises(LookupError):
             manager.rejoin("ghost")
 
-    def test_wal_restore_plus_delta_converges(self, tmp_path):
-        network, vector, master, replicas, replicator = self._world()
+    def test_wal_restore_plus_delta_converges(self, world):
+        network, vector, master, relay = world
         master.insert("docs", {"name": "a"})
         master.insert("docs", {"name": "b"})
-        replicator.flush()
+        relay.flush()
         network.quiesce()
-        snap = tmp_path / "s2.snap"
-        replicas["s2"].snapshot(str(snap))
 
         network.set_down("s2", True)
         master.insert("docs", {"name": "c"})
         master.update_pk("docs", "a", {"version": 2})
-        replicator.flush()
+        relay.flush()
         network.quiesce()
-        assert replicator.divergence("s2") > 0
+        assert relay.lag("s2") > 0
 
-        manager = RecoveryManager(network, vector, replicator=replicator)
-        report = manager.rejoin("s2", schemas=[DOCS],
-                                snapshot_path=str(snap))
+        manager = RecoveryManager(network, vector, relay=relay)
+        report = manager.rejoin("s2")
         network.quiesce()
-        assert report.restored_rows == 2  # the pre-crash snapshot
-        assert report.delta_ops > 0
-        assert replicator.divergence("s2") == 0
+        assert report.restored_rows == 2  # what s2's own journal held
+        assert report.delta_frames == 2
+        assert relay.lag("s2") == 0
+        assert database_state(relay.followers["s2"].db) == database_state(
+            master
+        )
 
-    def test_delta_alone_heals_without_wal(self):
-        network, vector, master, replicas, replicator = self._world()
+    def test_delta_alone_heals_without_wal(self, world, tmp_path):
+        network, vector, master, relay = world
         master.insert("docs", {"name": "a"})
-        replicator.flush()
+        relay.flush()
         network.quiesce()
         network.set_down("s3", True)
         master.insert("docs", {"name": "b"})
-        replicator.flush()
+        relay.flush()
         network.quiesce()
-        manager = RecoveryManager(network, vector, replicator=replicator)
+        # s3's disk is lost with it: nothing local to recover from.
+        relay.followers["s3"].stop()
+        shutil.rmtree(tmp_path / "s3")
+        manager = RecoveryManager(network, vector, relay=relay)
         report = manager.rejoin("s3")
         network.quiesce()
         assert report.restored_rows == 0
-        assert report.delta_ops > 0
-        assert replicator.divergence("s3") == 0
+        assert report.delta_frames == 2
+        assert relay.lag("s3") == 0
+        assert database_state(relay.followers["s3"].db) == database_state(
+            master
+        )
 
-    def test_rejoins_are_recorded(self):
-        network, vector, *_ = self._world()
+    def test_rejoins_are_recorded(self, world):
+        network, vector, *_ = world
         manager = RecoveryManager(network, vector)
         manager.rejoin("s2")
         manager.rejoin("s3")

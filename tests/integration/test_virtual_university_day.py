@@ -11,16 +11,11 @@ import pytest
 from repro.annotations import Line, LiveAnnotationSession, Point
 from repro.collab import DiscussionBoard, PresenceDaemon
 from repro.core import WebDocumentDatabase
-from repro.core.schema import ALL_SCHEMAS
-from repro.distribution import (
-    MAryTree,
-    MetadataReplicator,
-    PreBroadcaster,
-    ReplicaManager,
-)
+from repro.distribution import MAryTree, PreBroadcaster, ReplicaManager
+from repro.fault.crashsim import database_state
 from repro.library import CatalogEntry, CirculationDesk, VirtualLibrary, assess
 from repro.qa import QARunner
-from repro.rdb import Database
+from repro.replication import TreeRelay
 from repro.util.units import MIB
 from repro.workloads import CourseGenerator
 
@@ -29,13 +24,6 @@ from tests.conftest import build_network
 N_STATIONS = 9
 LECTURE_BYTES = 10 * MIB
 LECTURE_DURATION_S = 45 * 60.0
-
-
-def _course_engine(label):
-    engine = Database(label)
-    for schema in ALL_SCHEMAS:
-        engine.create_table(schema)
-    return engine
 
 
 @pytest.fixture
@@ -47,7 +35,7 @@ def day():
 
 
 class TestVirtualUniversityDay:
-    def test_full_day(self, day):
+    def test_full_day(self, day, tmp_path):
         net, names, tree = day
         sim = net.sim
 
@@ -60,17 +48,18 @@ class TestVirtualUniversityDay:
         assert outcome.passed
 
         # -- metadata replicates to every student station --------------
-        replicas = {name: _course_engine(f"replica_{name}")
-                    for name in names[1:]}
-        replicator = MetadataReplicator(net, tree, wddb.engine, replicas)
-        # ops so far were not captured (replicator attached late), so
-        # author a second course to exercise the pipeline
+        relay = TreeRelay(net, tree, wddb.engine, tmp_path)
+        # the first course predates the relay and ships as a snapshot;
+        # a second one streams as frames
         generator.generate_course(wddb, "mmu", author="shih")
-        replicator.flush()
+        relay.flush()
         sim.run(until=sim.now + 30.0)
-        assert all(
-            replicas[name].count("scripts") >= 1 for name in names[1:]
-        )
+        assert relay.converged()
+        master_state = database_state(wddb.engine)
+        for name in names[1:]:
+            replica = relay.followers[name].db
+            assert replica.count("scripts") == 2
+            assert database_state(replica) == master_state
 
         # -- the lecture is pre-broadcast before class ------------------
         broadcaster = PreBroadcaster(net)
@@ -147,3 +136,4 @@ class TestVirtualUniversityDay:
         stats = net.stats()
         assert stats["bytes"] > (N_STATIONS - 1) * LECTURE_BYTES
         assert stats["dropped"] == 0
+        relay.close()

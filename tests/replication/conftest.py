@@ -69,12 +69,25 @@ class ReplCluster:
         self.shipper.pump()
         self.network.quiesce()
 
+    def close(self):
+        """Close the primary's and every follower's journal."""
+        self.journal.close()
+        for recoverer in self.recoverers.values():
+            if recoverer.journal is not None:
+                recoverer.journal.close()
+
 
 @pytest.fixture
 def repl_cluster(tmp_path):
-    """Factory: ``cluster = repl_cluster(followers=("f1", "f2"))``."""
+    """Factory: ``cluster = repl_cluster(followers=("f1", "f2"))``;
+    every cluster built is closed at teardown."""
+    clusters = []
 
     def build(followers=("f1",)):
-        return ReplCluster(tmp_path, followers)
+        cluster = ReplCluster(tmp_path, followers)
+        clusters.append(cluster)
+        return cluster
 
-    return build
+    yield build
+    for cluster in clusters:
+        cluster.close()

@@ -120,6 +120,7 @@ class TestRejoin:
             )
 
         rejoined = cluster.coordinator.rejoin_old_primary(report, factory)
+        cluster.recoverers["primary"] = rejoined  # closed at teardown
         cluster.network.quiesce()
         assert not cluster.network.is_down("primary")
         assert database_state(rejoined.db) == database_state(winner_db)
@@ -147,6 +148,7 @@ class TestRejoin:
             tmp_path / "f3", sync_policy="commit", ddl_fn=cluster.ddl,
             epoch=report.epoch,
         )
+        cluster.recoverers["f3"] = stray  # closed at teardown
         stray.start()
         cluster.network.quiesce()
         assert stray.applied_lsn == 0

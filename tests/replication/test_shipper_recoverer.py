@@ -73,6 +73,7 @@ class TestCatchUp:
             cluster.network, "f1", "primary", CRASH_SCHEMAS,
             tmp_path / "f1", sync_policy="commit", ddl_fn=cluster.ddl,
         )
+        cluster.recoverers["f1"] = again  # closed at teardown
         again.start()
         assert again.applied_lsn == 4  # from its own journal, pre-stream
         cluster.sync()
@@ -125,6 +126,7 @@ class TestSnapshotResync:
             cluster.network, "f1", "primary", CRASH_SCHEMAS,
             tmp_path / "f1", sync_policy="commit", ddl_fn=cluster.ddl,
         )
+        cluster.recoverers["f1"] = again  # closed at teardown
         again.start()
         # Local-only recovery: snapshot watermark 5 + journal frames 6-7.
         assert again.applied_lsn == 7
@@ -184,10 +186,10 @@ class TestPackageDocs:
 
         doc = replication.__doc__
         assert "repro.distribution.replication" in doc
-        assert "repro.distribution.syncdb" in doc
+        assert "repro.replication.tree" in doc
 
     @pytest.mark.parametrize("module_name", [
-        "repro.distribution.replication", "repro.distribution.syncdb",
+        "repro.distribution.replication",
     ])
     def test_sibling_layers_point_back_here(self, module_name):
         import importlib
